@@ -188,14 +188,6 @@ class Core
     trace::CpiStack &cpiStack() { return cpiStack_; }
 
     /**
-     * Flush any provisionally attributed cycles so the CPI-stack
-     * categories sum exactly to the cycle count. Idempotent; called by
-     * Machine::run at harvest (models with in-flight speculation hold
-     * cycles pending until the region commits or rolls back).
-     */
-    virtual void finalizeAttribution() {}
-
-    /**
      * Serialize complete core state: committed arch state, clocks,
      * fetch-line tracking, predictor/BTB/RAS, the whole stats tree
      * (which includes the CPI stack and this core's port stats), then
@@ -240,8 +232,8 @@ class Core
     /**
      * Charge the cycle that just ran to a CPI-stack category. The
      * default charges Base when @p retired > 0 and the noted stall
-     * otherwise; SST overrides it to hold speculation cycles pending
-     * until the region's fate (commit or rollback) is known.
+     * otherwise; SST overrides it to charge speculation cycles
+     * provisionally, to be moved if the region rolls back.
      */
     virtual void accountCycle(std::uint64_t retired)
     {

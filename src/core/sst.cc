@@ -374,6 +374,7 @@ SstCore::idleAdvance(Cycle n)
                                        ? trace::CpiCat::ValuePred
                                        : trace::CpiCat::Replay);
         pendingSpec_[static_cast<std::size_t>(cat)] += n;
+        cpiStack_.add(cat, n);
         return;
     }
     cpiStack_.add(idle_.cat, n);
@@ -1736,11 +1737,13 @@ SstCore::rollback(FailKind kind)
 void
 SstCore::accountCycle(std::uint64_t retired)
 {
-    // Cycles spent inside a speculation region can't be classified yet:
-    // the region's fate decides whether they were useful overlap
-    // (replay / queue-pressure) or discarded work. Hold them pending.
-    // epochs_ is the post-cycle() state, so a mid-cycle commit-all
-    // (retired > 0) or rollback is already accounted correctly.
+    // Cycles spent inside a speculation region can't be classified for
+    // good yet: the region's fate decides whether they were useful
+    // overlap (replay / queue-pressure) or discarded work. Charge them
+    // provisionally and remember them as pending, so a rollback can
+    // move them. epochs_ is the post-cycle() state, so a mid-cycle
+    // commit-all (retired > 0) or rollback is already accounted
+    // correctly.
     if (!epochs_.empty() && retired == 0) {
         trace::CpiCat cat = (stallCat_ == trace::CpiCat::DqFull
                              || stallCat_ == trace::CpiCat::SsqFull)
@@ -1749,6 +1752,7 @@ SstCore::accountCycle(std::uint64_t retired)
                                        ? trace::CpiCat::ValuePred
                                        : trace::CpiCat::Replay);
         ++pendingSpec_[static_cast<std::size_t>(cat)];
+        cpiStack_.add(cat);
         return;
     }
     Core::accountCycle(retired);
@@ -1757,20 +1761,12 @@ SstCore::accountCycle(std::uint64_t retired)
 void
 SstCore::flushPendingSpec(bool discarded, trace::CpiCat discardCat)
 {
-    for (std::size_t i = 0; i < trace::numCpiCats; ++i) {
-        if (pendingSpec_[i] == 0)
-            continue;
-        cpiStack_.add(discarded ? discardCat
-                                : static_cast<trace::CpiCat>(i),
-                      pendingSpec_[i]);
-        pendingSpec_[i] = 0;
-    }
-}
-
-void
-SstCore::finalizeAttribution()
-{
-    flushPendingSpec(false);
+    if (discarded)
+        for (std::size_t i = 0; i < trace::numCpiCats; ++i)
+            if (pendingSpec_[i] != 0)
+                cpiStack_.move(static_cast<trace::CpiCat>(i), discardCat,
+                               pendingSpec_[i]);
+    pendingSpec_.fill(0);
 }
 
 bool

@@ -76,9 +76,6 @@ class SstCore : public Core, public CohClient
     /** Watchdog escalation: roll back and suppress the trigger PC. */
     bool degradeSpeculation() override;
 
-    /** Flush speculating cycles still awaiting their region's fate. */
-    void finalizeAttribution() override;
-
     Cycle nextWakeCycle() const override;
 
   protected:
@@ -215,10 +212,11 @@ class SstCore : public Core, public CohClient
      *  logged younger speculative load. */
     bool storeConflicts(SeqNum store_seq, Addr addr, unsigned size) const;
 
-    /** Move pending speculation cycles into the CPI stack: to their
-     *  provisional categories on commit, to @p discardCat (normally
-     *  RollbackDiscard; Coherence for remote-write squashes, so the
-     *  sharing benches can attribute contention) when @p discarded. */
+    /** Settle the pending speculation cycles: they keep their
+     *  provisional categories on commit and move to @p discardCat
+     *  (normally RollbackDiscard; Coherence for remote-write squashes,
+     *  so the sharing benches can attribute contention) when
+     *  @p discarded. */
     void flushPendingSpec(bool discarded,
                           trace::CpiCat discardCat =
                               trace::CpiCat::RollbackDiscard);
@@ -227,8 +225,9 @@ class SstCore : public Core, public CohClient
      *  replay front and the ahead strand's first-failing condition. */
     IdleClass classifyIdle() const;
 
-    /** Speculating cycles charged but not yet assigned a final CPI
-     *  category (indexed by provisional CpiCat). */
+    /** Speculating cycles charged to a provisional CPI category whose
+     *  region has not yet committed or rolled back (indexed by that
+     *  category). */
     std::array<std::uint64_t, trace::numCpiCats> pendingSpec_{};
 
     // --- ahead-strand speculative register view ---

@@ -6,9 +6,9 @@
  * monitor perturbs the *host process running it*, so the service's
  * crash-recovery machinery (lease timeouts, checkpoint re-lease,
  * poison-job quarantine) can be exercised deterministically. A worker
- * arms the monitor before running a job; the Machine run loop calls
- * observe() every iteration, and at the scheduled simulated cycle the
- * monitor either kills the process (modelling a crashed/SIGKILLed
+ * arms the monitor before running a job; the engine calls observe() at
+ * every barrier, and at the first barrier at or after the scheduled
+ * simulated cycle the monitor either kills the process (modelling a crashed/SIGKILLed
  * worker) or stalls it while muting heartbeats (modelling a hung one).
  *
  * Keying chaos to a simulated cycle rather than wall clock is what
@@ -66,7 +66,7 @@ class ChaosMonitor
      *  heartbeats stay muted afterwards (the worker looks dead). */
     void scheduleStall(Cycle c, unsigned ms);
 
-    /** Called from the run loop after every iteration. */
+    /** Called by the engine at every barrier with the chip clock. */
     void observe(Cycle now);
 
     /** Latest cycle seen by observe() (heartbeat payload). */

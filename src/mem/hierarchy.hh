@@ -132,7 +132,7 @@ class CorePort
 
     /** Serialize caches/MSHRs/TLB/prefetchers + the prefetched-line set
      *  (sorted, so equal state encodes to equal bytes). The stats tree
-     *  is serialized by the owning Machine, not here. */
+     *  is serialized by the owning chip (Cmp), not here. */
     void save(snap::Writer &w) const;
     void load(snap::Reader &r);
 

@@ -6,12 +6,121 @@
 #include "common/logging.hh"
 #include "common/tickgate.hh"
 #include "exp/threadpool.hh"
+#include "fault/chaos.hh"
 #include "sim/fastfwd.hh"
-#include "sim/machine.hh"
 #include "snap/snap.hh"
+#include "trace/trace.hh"
 
 namespace sst
 {
+
+std::unique_ptr<Core>
+makeCore(const MachineConfig &config, const Program &program,
+         MemoryImage &memory, CorePort &port)
+{
+    if (config.model == "inorder")
+        return std::make_unique<InOrderCore>(config.core, program, memory,
+                                             port);
+    if (config.model == "ooo")
+        return std::make_unique<OoOCore>(config.core, program, memory,
+                                         port);
+    if (config.model == "sst")
+        return std::make_unique<SstCore>(config.core, program, memory,
+                                         port);
+    fatal("unknown core model '%s'", config.model.c_str());
+}
+
+std::uint64_t
+programFingerprint(const Program &program)
+{
+    snap::Hasher h;
+    h.mixU64(program.codeBase());
+    h.mixU64(program.size());
+    for (const Inst &inst : program.insts())
+        h.mixU64(inst.encode());
+    for (const auto &seg : program.segments()) {
+        h.mixU64(seg.base);
+        h.mixU64(seg.bytes.size());
+        h.mix(seg.bytes.data(), seg.bytes.size());
+    }
+    return h.value();
+}
+
+const char *
+degradeReasonName(DegradeReason reason)
+{
+    switch (reason) {
+      case DegradeReason::None: return "none";
+      case DegradeReason::CycleBudget: return "cycle_budget";
+      case DegradeReason::Livelock: return "livelock";
+    }
+    panic("bad DegradeReason %d", static_cast<int>(reason));
+}
+
+bool
+Watchdog::observe()
+{
+    if (!params_.enabled || core_.halted())
+        return true;
+    std::uint64_t insts = core_.instsRetired();
+    if (insts != lastInsts_) {
+        lastInsts_ = insts;
+        windowStart_ = core_.cycles();
+        fruitless_ = 0;
+        return true;
+    }
+    if (core_.cycles() - windowStart_ < params_.stallCycles)
+        return true;
+
+    // A full window with zero retirement: intervene. Degrading
+    // speculation is always correctness-preserving (it rolls back to
+    // committed state), so it is safe to try before giving up.
+    ++interventions_;
+    windowStart_ = core_.cycles();
+    if (core_.degradeSpeculation()) {
+        ++recoveries_;
+        fruitless_ = 0;
+        return true;
+    }
+    if (++fruitless_ >= params_.maxInterventions) {
+        gaveUp_ = true;
+        return false;
+    }
+    return true;
+}
+
+Cycle
+Watchdog::skipBound() const
+{
+    if (!params_.enabled || core_.halted())
+        return invalidCycle;
+    Cycle deadline = windowStart_ + params_.stallCycles;
+    return deadline == 0 ? 0 : deadline - 1;
+}
+
+void
+Watchdog::save(snap::Writer &w) const
+{
+    w.tag("watchdog");
+    w.u64(lastInsts_);
+    w.u64(windowStart_);
+    w.u32(fruitless_);
+    w.u64(recoveries_);
+    w.u64(interventions_);
+    w.b(gaveUp_);
+}
+
+void
+Watchdog::load(snap::Reader &r)
+{
+    r.tag("watchdog");
+    lastInsts_ = r.u64();
+    windowStart_ = r.u64();
+    fruitless_ = r.u32();
+    recoveries_ = r.u64();
+    interventions_ = r.u64();
+    gaveUp_ = r.b();
+}
 
 namespace
 {
@@ -34,6 +143,9 @@ Cmp::Cmp(const MachineConfig &config,
 {
     fatal_if(programs.empty(), "Cmp needs at least one program");
     const bool shared = memsys_.coherent();
+    // A lone core has no neighbour to hide its writes from or to
+    // squash: it runs straight on the image, with nothing buffered.
+    const bool buffered = shared && programs.size() > 1;
     if (shared) {
         // True shared memory: one physical image for the whole chip.
         // Every program's segments load into it (shared workloads emit
@@ -50,13 +162,15 @@ Cmp::Cmp(const MachineConfig &config,
         // neither fire spurious squashes nor drop the observer — a
         // remote write after restore squashes exactly as one before a
         // snapshot would.
-        images_.back()->setWriteObserver([this](Addr addr, unsigned size) {
-            memsys_.onFunctionalWrite(addr, size);
-        });
+        if (buffered)
+            images_.back()->setWriteObserver(
+                [this](Addr addr, unsigned size) {
+                    memsys_.onFunctionalWrite(addr, size);
+                });
     }
     for (std::size_t i = 0; i < programs.size(); ++i) {
         CorePort &port = memsys_.addCore();
-        if (shared)
+        if (buffered)
             views_.push_back(std::make_unique<OverlayImage>(
                 *images_[0], static_cast<unsigned>(i), overlayShared_));
         if (!shared) {
@@ -82,10 +196,11 @@ Cmp::Cmp(const MachineConfig &config,
                      i + 1);
         }
         MachineConfig cfg = config_;
-        cfg.core.name = "core" + std::to_string(i);
+        if (programs.size() > 1)
+            cfg.core.name = "core" + std::to_string(i);
         // Coherent cores execute through their buffered view; with the
         // engine idle (views drained) a view reads as the base image.
-        MemoryImage &coreImage = shared ? *views_[i] : *images_.back();
+        MemoryImage &coreImage = buffered ? *views_[i] : *images_.back();
         cores_.push_back(makeCore(cfg, *programs[i], coreImage, port));
         watchdogs_.push_back(
             std::make_unique<Watchdog>(config_.watchdog, *cores_.back()));
@@ -106,7 +221,7 @@ Cmp::quantum() const
 {
     if (config_.cmpQuantum)
         return config_.cmpQuantum;
-    if (memsys_.coherent()) {
+    if (!views_.empty()) {
         // Cross-core visibility is deferred to barriers, so the
         // horizon must not exceed the fastest coherence message: the
         // invalidation/intervention/upgrade a tick can trigger lands
@@ -117,8 +232,9 @@ Cmp::quantum() const
                                             coh.upgradeLatency}));
     }
     // Salted chips share only L2/DRAM timing, which the TickGate
-    // orders exactly; barriers exist just to re-shard idle skips and
-    // check stop conditions, so a long horizon amortises them.
+    // orders exactly, and a lone core has no one to defer anything to;
+    // barriers exist just to re-shard idle skips, check stop
+    // conditions and observe chaos, so a long horizon amortises them.
     return 1024;
 }
 
@@ -133,22 +249,27 @@ Cmp::quantum() const
  * snapshots are byte-identical at any -j.
  */
 void
-Cmp::runEngine(std::uint64_t max_cycles)
+Cmp::runEngine(Cycle bound, const SnapPolicy &snap)
 {
+    if (allHalted_ || livelocked_ || cycle_ >= bound)
+        return;
     const unsigned n = static_cast<unsigned>(cores_.size());
     const unsigned nWorkers = workers();
     const bool fastfwd = fastForwardEnabled();
     const bool coherent = memsys_.coherent();
-    const Cycle maxCycles = max_cycles;
+    const bool buffered = !views_.empty();
     const Cycle q = quantum();
 
     TickGate gate(n);
     for (unsigned i = 0; i < n; ++i)
         gate.completeThrough(i, cycle_);
-    overlayShared_.gate = &gate;
+    // One worker already ticks in (cycle, coreId) order: nothing to
+    // wait for, so the shared-state paths run ungated.
+    const TickGate *order = nWorkers > 1 ? &gate : nullptr;
+    overlayShared_.gate = order;
     // Once fault injection is armed every access may draw from the
     // shared RNG, even an L1 hit — gate everything.
-    memsys_.beginEngineRun(&gate, config_.mem.fault.enabled());
+    memsys_.beginEngineRun(order, config_.mem.fault.enabled());
 
     SpinBarrier barrier(nWorkers);
 
@@ -158,11 +279,17 @@ Cmp::runEngine(std::uint64_t max_cycles)
     struct
     {
         Cycle h0 = 0, h1 = 0;
+        Cycle nextSnapAt = invalidCycle;
         bool stop = false;
         std::atomic<bool> livelock{false};
     } eng;
+    // A periodic snapshot is taken at the first barrier at or after
+    // its cycle. Barriers stay where a run without snapshots puts
+    // them, so writing snapshots cannot perturb the run.
+    if (snap.everyCycles)
+        eng.nextSnapAt = cycle_ + snap.everyCycles;
     eng.h0 = cycle_;
-    eng.h1 = std::min<Cycle>(maxCycles, (cycle_ / q + 1) * q);
+    eng.h1 = std::min<Cycle>(bound, (cycle_ / q + 1) * q);
     // Per-core engine state (worker-private by shard inside windows,
     // serial at barriers).
     std::vector<Cycle> stallWake(n, 0);
@@ -178,47 +305,60 @@ Cmp::runEngine(std::uint64_t max_cycles)
     auto tickWindow = [&](unsigned w) {
         const unsigned lo = w * n / nWorkers;
         const unsigned hi = (w + 1) * n / nWorkers;
-        const Cycle h1 = eng.h1;
+        // Per-tick state copied out of the captures: locals stay in
+        // registers across the cores' virtual calls (a one-core chip
+        // runs this loop once per tick, so reloads show).
+        const bool ff = fastfwd, buf = buffered, gated = order != nullptr;
+        const std::unique_ptr<Core> *cores = cores_.data();
+        const std::unique_ptr<Watchdog> *dogs = watchdogs_.data();
+        char *off = parked.data();
+        Cycle h1 = eng.h1;
         for (Cycle t = eng.h0; t < h1;) {
             Cycle minNext = invalidCycle;
             for (unsigned i = lo; i < hi; ++i) {
-                if (parked[i])
+                if (off[i])
                     continue;
-                Core &core = *cores_[i];
+                Core &core = *cores[i];
                 if (core.halted()) {
                     park(i);
                     continue;
                 }
                 Cycle now = core.cycles();
                 if (now == t) {
-                    if (coherent)
+                    if (buf)
                         views_[i]->beginTick(t);
                     std::uint64_t before = core.instsRetired();
                     core.tick();
                     // One livelocked core sinks the whole chip; the
                     // flag is examined only at barriers so the window
-                    // completes identically at every worker count.
-                    if (!watchdogs_[i]->observe())
+                    // completes identically at every worker count. A
+                    // lone core has no neighbours to carry to the
+                    // barrier: the chip stops where it gave up.
+                    if (!dogs[i]->observe()) {
                         eng.livelock.store(true,
                                            std::memory_order_relaxed);
-                    gate.completeThrough(i, t + 1);
+                        if (n == 1)
+                            eng.h1 = h1 = t + 1;
+                    }
+                    if (gated)
+                        gate.completeThrough(i, t + 1);
                     now = t + 1;
                     if (core.halted()) {
                         park(i);
                         continue;
                     }
                     // Per-core fast-forward: a stalled core's ticks
-                    // are pure no-ops until its earliest wake (the
-                    // same contract Machine::loopTo relies on), so
+                    // are pure no-ops until its earliest wake, so
                     // skip them inside the window. Publishing the
                     // skip first keeps the gate monotone.
-                    if (fastfwd && core.instsRetired() == before) {
+                    if (ff && core.instsRetired() == before) {
                         Cycle wake = core.nextWakeCycle();
                         if (wake > now) {
                             Cycle target = std::min(
-                                {wake, h1, watchdogs_[i]->skipBound()});
+                                {wake, h1, dogs[i]->skipBound()});
                             if (target > now) {
-                                gate.completeThrough(i, target);
+                                if (gated)
+                                    gate.completeThrough(i, target);
                                 core.advanceIdle(target - now);
                                 now = target;
                             }
@@ -242,10 +382,11 @@ Cmp::runEngine(std::uint64_t max_cycles)
     // parked at the horizon. Order matters and is fixed — coherence
     // delivery first, then functional visibility — see INTERNALS.md.
     auto serialPhase = [&]() {
-        if (coherent) {
-            // 1. Deferred invalidations/downgrades, in the (cycle,
-            //    coreId) order the gate queued them.
+        // 1. Deferred invalidations/downgrades, in the (cycle, coreId)
+        //    order the gate queued them.
+        if (coherent)
             memsys_.drainDeferredCoh();
+        if (buffered) {
             // 2. Buffered functional writes, merged across cores in
             //    (cycle, coreId, program) order, replayed into the
             //    base image where its observer squashes remote
@@ -329,7 +470,20 @@ Cmp::runEngine(std::uint64_t max_cycles)
         }
         if (eng.livelock.load(std::memory_order_relaxed))
             livelocked_ = true;
-        eng.stop = allHalted_ || livelocked_ || eng.h1 >= maxCycles;
+        eng.stop = allHalted_ || livelocked_ || eng.h1 >= bound;
+
+        // Views are drained here, so the chip is whole: write the
+        // periodic snapshot, then let chaos fire — a kill scheduled on
+        // a snapshot boundary hands the freshest checkpoint on.
+        if (cycle_ >= eng.nextSnapAt) {
+            auto res = snapshotToFile(snap.path);
+            if (!res.ok())
+                warn("periodic snapshot to '%s' failed: %s",
+                     snap.path.c_str(), res.error().message.c_str());
+            eng.nextSnapAt = cycle_ + snap.everyCycles;
+        }
+        if (chaos_)
+            chaos_->observe(cycle_);
         if (eng.stop)
             return;
 
@@ -360,7 +514,7 @@ Cmp::runEngine(std::uint64_t max_cycles)
         }
         std::fill(stallWake.begin(), stallWake.end(), Cycle{0});
         eng.h0 = begin;
-        eng.h1 = std::min(end, maxCycles);
+        eng.h1 = std::min(end, bound);
     };
 
     auto workerLoop = [&](unsigned w) {
@@ -389,14 +543,16 @@ Cmp::runEngine(std::uint64_t max_cycles)
     overlayShared_.gate = nullptr;
 }
 
-CmpResult
-Cmp::run(std::uint64_t max_cycles)
+void
+Cmp::stepTo(Cycle target, const SnapPolicy &snap)
 {
-    if (!allHalted_ && !livelocked_ && cycle_ < max_cycles)
-        runEngine(max_cycles);
+    runEngine(target, snap);
+}
 
-    for (auto &core : cores_)
-        core->finalizeAttribution();
+CmpResult
+Cmp::run(std::uint64_t max_cycles, const SnapPolicy &snap)
+{
+    runEngine(max_cycles, snap);
 
     CmpResult res;
     res.preset = config_.presetName;
@@ -423,22 +579,38 @@ Cmp::run(std::uint64_t max_cycles)
     return res;
 }
 
-std::vector<std::uint8_t>
-Cmp::snapshot() const
+void
+Cmp::warmStart(const ArchState &cursor, Cycle clock)
 {
-    snap::Writer w;
-    w.u64(snap::fileMagic);
-    w.u32(snap::formatVersion);
-    w.u8(1); // kind: chip multiprocessor
-    w.str(config_.presetName);
-    w.str(config_.model);
-    w.u32(static_cast<std::uint32_t>(cores_.size()));
-    for (const Program *program : programs_) {
-        w.str(program->name());
-        w.u64(programFingerprint(*program));
+    panic_if(cores_.size() != 1, "warm start needs a one-core chip");
+    cores_[0]->warmStart(cursor, clock);
+    watchdogs_[0]->rebase(clock);
+    cycle_ = clock;
+}
+
+void
+Cmp::attachTraceBuffer(trace::TraceBuffer *buf)
+{
+    fatal_if(buf && workers() > 1,
+             "a trace buffer needs a chip that ticks on one worker "
+             "(this one runs on %u, which would race on the buffer)",
+             workers());
+    traceBuf_ = buf;
+    for (auto &core : cores_) {
+        core->attachTraceBuffer(buf);
+        core->port().l1i().setTrace(buf, 1);
+        core->port().l1d().setTrace(buf, 1);
     }
-    w.u64(cycle_);
+    memsys_.l2().setTrace(buf, 2);
+    memsys_.dram().setTrace(buf);
+    memsys_.setTraceBuffer(buf);
+}
+
+void
+Cmp::saveState(snap::Writer &w) const
+{
     w.tag("cmp-state");
+    w.u64(cycle_);
     w.b(allHalted_);
     w.b(livelocked_);
     for (std::size_t i = 0; i < cores_.size(); ++i) {
@@ -450,6 +622,58 @@ Cmp::snapshot() const
         image->save(w);
     memsys_.save(w);
     memsys_.stats().save(w);
+}
+
+void
+Cmp::loadState(snap::Reader &r)
+{
+    r.tag("cmp-state");
+    cycle_ = r.u64();
+    allHalted_ = r.b();
+    livelocked_ = r.b();
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        cores_[i]->load(r);
+        watchdogs_[i]->load(r);
+    }
+    for (const auto &image : images_)
+        image->load(r);
+    // Views are always drained at snapshot points; discard any buffered
+    // bytes so the restored base is the only truth. The base image's
+    // write observer survives load() untouched (see the constructor),
+    // so post-restore remote writes squash exactly as before.
+    for (const auto &view : views_)
+        view->clearQuantum();
+    overlayShared_.journal.clear();
+    memsys_.load(r);
+    memsys_.stats().load(r);
+}
+
+std::uint64_t
+Cmp::stateHash() const
+{
+    snap::Writer w;
+    saveState(w);
+    return w.hash();
+}
+
+std::vector<std::uint8_t>
+Cmp::snapshot() const
+{
+    snap::Writer w;
+    w.u64(snap::fileMagic);
+    w.u32(snap::formatVersion);
+    w.str(config_.presetName);
+    w.str(config_.model);
+    w.u32(static_cast<std::uint32_t>(cores_.size()));
+    for (const Program *program : programs_) {
+        w.str(program->name());
+        w.u64(programFingerprint(*program));
+    }
+    saveState(w);
+    w.tag("trace");
+    w.b(traceBuf_ != nullptr);
+    if (traceBuf_)
+        traceBuf_->save(w);
     return w.data();
 }
 
@@ -463,7 +687,6 @@ Cmp::restore(const std::vector<std::uint8_t> &bytes)
     fatal_if(version != snap::formatVersion,
              "snapshot: format version %u, this build reads %u", version,
              snap::formatVersion);
-    fatal_if(r.u8() != 1, "snapshot: not a CMP image");
     std::string preset = r.str();
     fatal_if(preset != config_.presetName,
              "snapshot: preset '%s' where '%s' expected", preset.c_str(),
@@ -485,25 +708,14 @@ Cmp::restore(const std::vector<std::uint8_t> &bytes)
                  "snapshotted",
                  program->name().c_str());
     }
-    cycle_ = r.u64();
-    r.tag("cmp-state");
-    allHalted_ = r.b();
-    livelocked_ = r.b();
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-        cores_[i]->load(r);
-        watchdogs_[i]->load(r);
+    loadState(r);
+    r.tag("trace");
+    if (r.b()) {
+        fatal_if(!traceBuf_,
+                 "snapshot carries a trace buffer but none is attached; "
+                 "attach one before restore to keep traces byte-identical");
+        traceBuf_->load(r);
     }
-    for (const auto &image : images_)
-        image->load(r);
-    // Views are always drained at snapshot points; discard any buffered
-    // bytes so the restored base is the only truth. The base image's
-    // write observer survives load() untouched (see the constructor),
-    // so post-restore remote writes squash exactly as before.
-    for (const auto &view : views_)
-        view->clearQuantum();
-    overlayShared_.journal.clear();
-    memsys_.load(r);
-    memsys_.stats().load(r);
     r.done();
 }
 

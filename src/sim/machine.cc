@@ -1,214 +1,36 @@
 #include "sim/machine.hh"
 
-#include <algorithm>
-
-#include "common/logging.hh"
-#include "fault/chaos.hh"
-#include "sim/fastfwd.hh"
-#include "snap/snap.hh"
-#include "trace/trace.hh"
-
 namespace sst
 {
 
-std::unique_ptr<Core>
-makeCore(const MachineConfig &config, const Program &program,
-         MemoryImage &memory, CorePort &port)
-{
-    if (config.model == "inorder")
-        return std::make_unique<InOrderCore>(config.core, program, memory,
-                                             port);
-    if (config.model == "ooo")
-        return std::make_unique<OoOCore>(config.core, program, memory,
-                                         port);
-    if (config.model == "sst")
-        return std::make_unique<SstCore>(config.core, program, memory,
-                                         port);
-    fatal("unknown core model '%s'", config.model.c_str());
-}
-
-std::uint64_t
-programFingerprint(const Program &program)
-{
-    snap::Hasher h;
-    h.mixU64(program.codeBase());
-    h.mixU64(program.size());
-    for (const Inst &inst : program.insts())
-        h.mixU64(inst.encode());
-    for (const auto &seg : program.segments()) {
-        h.mixU64(seg.base);
-        h.mixU64(seg.bytes.size());
-        h.mix(seg.bytes.data(), seg.bytes.size());
-    }
-    return h.value();
-}
-
-const char *
-degradeReasonName(DegradeReason reason)
-{
-    switch (reason) {
-      case DegradeReason::None: return "none";
-      case DegradeReason::CycleBudget: return "cycle_budget";
-      case DegradeReason::Livelock: return "livelock";
-    }
-    panic("bad DegradeReason %d", static_cast<int>(reason));
-}
-
-bool
-Watchdog::observe()
-{
-    if (!params_.enabled || core_.halted())
-        return true;
-    std::uint64_t insts = core_.instsRetired();
-    if (insts != lastInsts_) {
-        lastInsts_ = insts;
-        windowStart_ = core_.cycles();
-        fruitless_ = 0;
-        return true;
-    }
-    if (core_.cycles() - windowStart_ < params_.stallCycles)
-        return true;
-
-    // A full window with zero retirement: intervene. Degrading
-    // speculation is always correctness-preserving (it rolls back to
-    // committed state), so it is safe to try before giving up.
-    ++interventions_;
-    windowStart_ = core_.cycles();
-    if (core_.degradeSpeculation()) {
-        ++recoveries_;
-        fruitless_ = 0;
-        return true;
-    }
-    if (++fruitless_ >= params_.maxInterventions) {
-        gaveUp_ = true;
-        return false;
-    }
-    return true;
-}
-
-Cycle
-Watchdog::skipBound() const
-{
-    if (!params_.enabled || core_.halted())
-        return invalidCycle;
-    Cycle deadline = windowStart_ + params_.stallCycles;
-    return deadline == 0 ? 0 : deadline - 1;
-}
-
-void
-Watchdog::save(snap::Writer &w) const
-{
-    w.tag("watchdog");
-    w.u64(lastInsts_);
-    w.u64(windowStart_);
-    w.u32(fruitless_);
-    w.u64(recoveries_);
-    w.u64(interventions_);
-    w.b(gaveUp_);
-}
-
-void
-Watchdog::load(snap::Reader &r)
-{
-    r.tag("watchdog");
-    lastInsts_ = r.u64();
-    windowStart_ = r.u64();
-    fruitless_ = r.u32();
-    recoveries_ = r.u64();
-    interventions_ = r.u64();
-    gaveUp_ = r.b();
-}
-
 Machine::Machine(const MachineConfig &config, const Program &program)
-    : config_(config), program_(program), memsys_(config.mem)
+    : program_(program), chip_(config, {&program})
 {
-    image_.loadSegments(program);
-    CorePort &port = memsys_.addCore();
-    core_ = makeCore(config_, program_, image_, port);
-    watchdog_ = std::make_unique<Watchdog>(config_.watchdog, *core_);
-}
-
-void
-Machine::attachTraceBuffer(trace::TraceBuffer *buf)
-{
-    traceBuf_ = buf;
-    core_->attachTraceBuffer(buf);
-    core_->port().l1i().setTrace(buf, 1);
-    core_->port().l1d().setTrace(buf, 1);
-    memsys_.l2().setTrace(buf, 2);
-    memsys_.dram().setTrace(buf);
-    memsys_.setTraceBuffer(buf);
-}
-
-void
-Machine::loopTo(Cycle bound, const SnapPolicy *snap)
-{
-    const bool fastfwd = fastForwardEnabled();
-    Cycle nextSnapAt = snap && snap->everyCycles
-                           ? core_->cycles() + snap->everyCycles
-                           : invalidCycle;
-    while (!livelocked_ && !core_->halted() && core_->cycles() < bound) {
-        std::uint64_t before = core_->instsRetired();
-        core_->tick();
-        if (!watchdog_->observe()) {
-            livelocked_ = true;
-            break;
-        }
-        // Fast-forward: after a tick that retired nothing, ask the core
-        // for the earliest cycle it can act again and replay the stalled
-        // window in one step. Capped so the cycle bound and the
-        // watchdog's intervention deadline are still hit by real ticks.
-        if (fastfwd && !core_->halted()
-            && core_->instsRetired() == before) {
-            Cycle wake = core_->nextWakeCycle();
-            Cycle now = core_->cycles();
-            Cycle target = std::min(std::min(wake, bound),
-                                    watchdog_->skipBound());
-            if (wake > now && target > now)
-                core_->advanceIdle(target - now);
-        }
-        if (core_->cycles() >= nextSnapAt) {
-            auto res = snapshotToFile(snap->path);
-            if (!res.ok())
-                warn("periodic snapshot to '%s' failed: %s",
-                     snap->path.c_str(), res.error().message.c_str());
-            nextSnapAt = core_->cycles() + snap->everyCycles;
-        }
-        // After the snapshot write, so a kill scheduled on a snapshot
-        // boundary hands the freshest checkpoint to the next worker.
-        if (chaos_)
-            chaos_->observe(core_->cycles());
-    }
-}
-
-void
-Machine::stepTo(Cycle target)
-{
-    loopTo(target, nullptr);
 }
 
 RunResult
 Machine::harvest()
 {
-    core_->finalizeAttribution();
+    Core &core = chip_.core(0);
+    const Watchdog &watchdog = chip_.watchdog(0);
 
     RunResult res;
-    res.preset = config_.presetName;
+    res.preset = chip_.config().presetName;
     res.workload = program_.name();
-    res.cycles = core_->cycles();
-    res.insts = core_->instsRetired();
-    res.ipc = core_->ipc();
-    res.finished = core_->halted();
+    res.cycles = core.cycles();
+    res.insts = core.instsRetired();
+    res.ipc = core.ipc();
+    res.finished = core.halted();
     if (!res.finished)
-        res.degrade = livelocked_ ? DegradeReason::Livelock
-                                  : DegradeReason::CycleBudget;
-    res.stats = core_->stats().flatten();
-    for (const auto &kv : memsys_.faults().stats().flatten())
+        res.degrade = chip_.livelocked() ? DegradeReason::Livelock
+                                         : DegradeReason::CycleBudget;
+    res.stats = core.stats().flatten();
+    for (const auto &kv : chip_.memsys().faults().stats().flatten())
         res.stats[kv.first] = kv.second;
     res.stats["watchdog.recoveries"] =
-        static_cast<double>(watchdog_->recoveries());
+        static_cast<double>(watchdog.recoveries());
     res.stats["watchdog.interventions"] =
-        static_cast<double>(watchdog_->interventions());
+        static_cast<double>(watchdog.interventions());
 
     auto stat = [&](const std::string &suffix) {
         for (const auto &kv : res.stats)
@@ -228,120 +50,15 @@ Machine::harvest()
 RunResult
 Machine::run(std::uint64_t max_cycles)
 {
-    loopTo(max_cycles, nullptr);
+    chip_.stepTo(max_cycles);
     return harvest();
 }
 
 RunResult
 Machine::run(std::uint64_t max_cycles, const SnapPolicy &snap)
 {
-    loopTo(max_cycles, snap.everyCycles ? &snap : nullptr);
+    chip_.stepTo(max_cycles, snap);
     return harvest();
-}
-
-void
-Machine::saveState(snap::Writer &w) const
-{
-    w.tag("machine-state");
-    core_->save(w);
-    memsys_.save(w);
-    memsys_.stats().save(w);
-    image_.save(w);
-    watchdog_->save(w);
-    w.b(livelocked_);
-}
-
-void
-Machine::loadState(snap::Reader &r)
-{
-    r.tag("machine-state");
-    core_->load(r);
-    memsys_.load(r);
-    memsys_.stats().load(r);
-    image_.load(r);
-    watchdog_->load(r);
-    livelocked_ = r.b();
-}
-
-std::uint64_t
-Machine::stateHash() const
-{
-    snap::Writer w;
-    saveState(w);
-    return w.hash();
-}
-
-std::vector<std::uint8_t>
-Machine::snapshot() const
-{
-    snap::Writer w;
-    w.u64(snap::fileMagic);
-    w.u32(snap::formatVersion);
-    w.u8(0); // kind: single-core machine
-    w.str(config_.presetName);
-    w.str(config_.model);
-    w.str(program_.name());
-    w.u64(programFingerprint(program_));
-    w.u64(core_->cycles());
-    saveState(w);
-    w.tag("trace");
-    w.b(traceBuf_ != nullptr);
-    if (traceBuf_)
-        traceBuf_->save(w);
-    return w.data();
-}
-
-void
-Machine::restore(const std::vector<std::uint8_t> &bytes)
-{
-    snap::Reader r(bytes);
-    fatal_if(r.u64() != snap::fileMagic,
-             "snapshot: bad magic (not a snapshot file?)");
-    std::uint32_t version = r.u32();
-    fatal_if(version != snap::formatVersion,
-             "snapshot: format version %u, this build reads %u", version,
-             snap::formatVersion);
-    fatal_if(r.u8() != 0, "snapshot: not a single-core machine image");
-    std::string preset = r.str();
-    fatal_if(preset != config_.presetName,
-             "snapshot: preset '%s' where '%s' expected", preset.c_str(),
-             config_.presetName.c_str());
-    std::string model = r.str();
-    fatal_if(model != config_.model,
-             "snapshot: core model '%s' where '%s' expected",
-             model.c_str(), config_.model.c_str());
-    std::string workload = r.str();
-    fatal_if(workload != program_.name(),
-             "snapshot: workload '%s' where '%s' expected",
-             workload.c_str(), program_.name().c_str());
-    fatal_if(r.u64() != programFingerprint(program_),
-             "snapshot: program '%s' differs from the one snapshotted",
-             program_.name().c_str());
-    r.u64(); // cycle, informational (authoritative copy in core state)
-    loadState(r);
-    r.tag("trace");
-    if (r.b()) {
-        fatal_if(!traceBuf_,
-                 "snapshot carries a trace buffer but none is attached; "
-                 "attach one before restore to keep traces byte-identical");
-        traceBuf_->load(r);
-    }
-    r.done();
-}
-
-Result<void>
-Machine::snapshotToFile(const std::string &path) const
-{
-    return snap::writeFile(path, snapshot());
-}
-
-Result<void>
-Machine::restoreFromFile(const std::string &path)
-{
-    auto bytes = snap::readFile(path);
-    if (!bytes.ok())
-        return bytes.error();
-    return trapFatal([&] { restore(bytes.value()); });
 }
 
 RunResult

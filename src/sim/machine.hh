@@ -1,7 +1,8 @@
 /**
  * @file
- * Single-core machine: wires a core model to its memory hierarchy and
- * runs one workload to completion.
+ * Single-core machine: one core over its memory hierarchy, running one
+ * workload to completion. A thin facade over a one-core Cmp — the chip
+ * engine is the only run loop and its snapshot is the only format.
  */
 
 #ifndef SSTSIM_SIM_MACHINE_HH
@@ -9,92 +10,15 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.hh"
-#include "core/core.hh"
-#include "core/inorder.hh"
-#include "core/ooo.hh"
-#include "core/sst.hh"
-#include "mem/hierarchy.hh"
+#include "sim/cmp.hh"
 #include "sim/presets.hh"
 
 namespace sst
 {
-
-class ChaosMonitor;
-
-/** Why a run stopped short of committing HALT. */
-enum class DegradeReason
-{
-    None,        ///< ran to completion
-    CycleBudget, ///< max_cycles exhausted with retirement still flowing
-    Livelock     ///< watchdog interventions exhausted with no progress
-};
-
-/** Human-readable name for a DegradeReason. */
-const char *degradeReasonName(DegradeReason reason);
-
-/**
- * No-retirement livelock detector with an escalating response, shared
- * by the Machine and Cmp run loops. When a core retires nothing for
- * stallCycles, the watchdog first asks the core to abandon speculation
- * and make non-speculative progress (degradeSpeculation — a recovery);
- * maxInterventions consecutive fruitless attempts declare livelock.
- */
-class Watchdog
-{
-  public:
-    Watchdog(const WatchdogParams &params, Core &core)
-        : params_(params), core_(core)
-    {
-    }
-
-    /** Observe one elapsed cycle. @return false on declared livelock. */
-    bool observe();
-
-    /**
-     * Latest cycle a fast-forward skip may advance the core to without
-     * changing this watchdog's behaviour. The cycle at
-     * windowStart + stallCycles is where observe() would intervene, so
-     * the run loop must reach it via a real tick+observe; every
-     * no-retirement observe strictly before it is a no-op, making the
-     * cycles up to (deadline - 1) safe to skip. Unbounded when disabled
-     * or the core has halted.
-     */
-    Cycle skipBound() const;
-
-    std::uint64_t recoveries() const { return recoveries_; }
-    std::uint64_t interventions() const { return interventions_; }
-    bool gaveUp() const { return gaveUp_; }
-
-    /** Re-anchor the stall window after the core warm-starts at cycle
-     *  @p now; without this a warm start far from cycle 0 looks like a
-     *  full no-retirement window and triggers a spurious intervention
-     *  on the first observe(). */
-    void rebase(Cycle now)
-    {
-        lastInsts_ = core_.instsRetired();
-        windowStart_ = now;
-        fruitless_ = 0;
-    }
-
-    /** Serialize progress-tracking state (params stay bound). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
-
-  private:
-    const WatchdogParams params_;
-    Core &core_;
-    std::uint64_t lastInsts_ = 0;
-    Cycle windowStart_ = 0;
-    unsigned fruitless_ = 0;
-    std::uint64_t recoveries_ = 0;
-    std::uint64_t interventions_ = 0;
-    bool gaveUp_ = false;
-};
 
 /** Key metrics of one finished run. */
 struct RunResult
@@ -114,22 +38,6 @@ struct RunResult
     std::map<std::string, double> stats;
 };
 
-/** Periodic snapshot policy for crash-resumable runs. */
-struct SnapPolicy
-{
-    std::uint64_t everyCycles = 0; ///< 0 disables periodic snapshots
-    std::string path;              ///< target file, atomically replaced
-};
-
-/** Instantiate the core model named by @p config. */
-std::unique_ptr<Core> makeCore(const MachineConfig &config,
-                               const Program &program,
-                               MemoryImage &memory, CorePort &port);
-
-/** Identity hash of a program (instructions + data + layout), used to
- *  reject restoring a snapshot against the wrong workload. */
-std::uint64_t programFingerprint(const Program &program);
-
 /** One core + private hierarchy + loaded memory image. */
 class Machine
 {
@@ -139,7 +47,8 @@ class Machine
 
     /** Run to HALT or @p maxCycles; harvest metrics. Resumes from the
      *  current state, so a restore() followed by run() continues the
-     *  interrupted simulation. */
+     *  interrupted simulation, and a run cut into several calls
+     *  harvests exactly what one call does. */
     RunResult run(std::uint64_t max_cycles = 500'000'000);
 
     /** run() that additionally writes a snapshot of the whole machine
@@ -152,64 +61,68 @@ class Machine
      * lockstep divergence differ is built on this: two machines
      * stepTo() the same cycle and compare stateHash().
      */
-    void stepTo(Cycle target);
+    void stepTo(Cycle target) { chip_.stepTo(target); }
 
     /** FNV-1a 64 over the complete serialized machine state. Equal
      *  hashes at equal cycles ⇒ byte-identical future behaviour. */
-    std::uint64_t stateHash() const;
+    std::uint64_t stateHash() const { return chip_.stateHash(); }
 
-    /** Complete machine image (header + state), restorable in a fresh
-     *  process via restore(). */
-    std::vector<std::uint8_t> snapshot() const;
+    /** Complete machine image (a one-core chip snapshot), restorable
+     *  in a fresh process via restore(). */
+    std::vector<std::uint8_t> snapshot() const { return chip_.snapshot(); }
 
     /** Restore a snapshot() image. The machine must have been built
      *  with the same preset, model and program; mismatches fatal(). */
-    void restore(const std::vector<std::uint8_t> &bytes);
+    void restore(const std::vector<std::uint8_t> &bytes)
+    {
+        chip_.restore(bytes);
+    }
 
-    Result<void> snapshotToFile(const std::string &path) const;
-    Result<void> restoreFromFile(const std::string &path);
+    Result<void> snapshotToFile(const std::string &path) const
+    {
+        return chip_.snapshotToFile(path);
+    }
+    Result<void> restoreFromFile(const std::string &path)
+    {
+        return chip_.restoreFromFile(path);
+    }
+
+    /** Start a freshly built machine from @p cursor at cycle @p clock
+     *  (a checkpoint-warmed region; see warmStartMachine()). */
+    void warmStart(const ArchState &cursor, Cycle clock)
+    {
+        chip_.warmStart(cursor, clock);
+    }
 
     /** True once the watchdog declared livelock (sticky; saved). */
-    bool livelocked() const { return livelocked_; }
+    bool livelocked() const { return chip_.livelocked(); }
 
-    Core &core() { return *core_; }
-    MemorySystem &memsys() { return memsys_; }
-    MemoryImage &image() { return image_; }
-    const MachineConfig &config() const { return config_; }
+    Core &core() { return chip_.core(0); }
+    MemorySystem &memsys() { return chip_.memsys(); }
+    MemoryImage &image() { return chip_.image(0); }
+    const MachineConfig &config() const { return chip_.config(); }
     const Program &program() const { return program_; }
-    Watchdog &watchdog() { return *watchdog_; }
+    Watchdog &watchdog() { return chip_.watchdog(0); }
 
     /** Route structured pipeline + cache-fill events from the core and
      *  every hierarchy level into @p buf (null detaches everywhere). */
-    void attachTraceBuffer(trace::TraceBuffer *buf);
+    void attachTraceBuffer(trace::TraceBuffer *buf)
+    {
+        chip_.attachTraceBuffer(buf);
+    }
 
-    /**
-     * Attach a process-chaos monitor (fault/chaos.hh): the run loop
-     * calls observe(cycle) every iteration, which both feeds the
-     * service worker's heartbeat probe and fires any scheduled
-     * kill/stall at its deterministic simulated cycle. Null detaches.
-     */
-    void setChaosMonitor(ChaosMonitor *monitor) { chaos_ = monitor; }
+    /** Attach a process-chaos monitor (see Cmp::setChaosMonitor).
+     *  Null detaches. */
+    void setChaosMonitor(ChaosMonitor *monitor)
+    {
+        chip_.setChaosMonitor(monitor);
+    }
 
   private:
-    /** Shared loop body of run()/stepTo(). */
-    void loopTo(Cycle bound, const SnapPolicy *snap);
     RunResult harvest();
 
-    /** State payload shared by snapshot(), restore() and stateHash()
-     *  (no file header). */
-    void saveState(snap::Writer &w) const;
-    void loadState(snap::Reader &r);
-
-    MachineConfig config_;
     const Program &program_;
-    MemorySystem memsys_;
-    MemoryImage image_;
-    std::unique_ptr<Core> core_;
-    std::unique_ptr<Watchdog> watchdog_;
-    trace::TraceBuffer *traceBuf_ = nullptr;
-    ChaosMonitor *chaos_ = nullptr;
-    bool livelocked_ = false;
+    Cmp chip_;
 };
 
 /**

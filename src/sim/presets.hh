@@ -33,7 +33,7 @@
 namespace sst
 {
 
-/** Livelock watchdog driving the Machine/Cmp run loops. */
+/** Livelock watchdog the engine runs on every core. */
 struct WatchdogParams
 {
     bool enabled = true;

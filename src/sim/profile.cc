@@ -836,8 +836,7 @@ warmStartMachine(Machine &machine, const ProfileLibrary &library,
         ArchState cursor;
         restoreMemberState(rd, machine.memsys(), machine.image(), cursor);
         rd.done();
-        machine.core().warmStart(cursor, clock);
-        machine.watchdog().rebase(clock);
+        machine.warmStart(cursor, clock);
         if (startInsts)
             *startInsts = start;
     });

@@ -31,7 +31,8 @@ namespace sst::snap
 
 /** Bump on any incompatible change to a component's save() layout. */
 constexpr std::uint32_t formatVersion =
-    4; // v4: per-strand branch history, per-epoch RAS, value predictor
+    5; // v5: one chip format for any core count (a Machine is a
+       // one-core chip); CPI stack carries provisional cycles
 
 /** Leading bytes of every snapshot file. */
 constexpr std::uint64_t fileMagic = 0x30504e53'54535353ULL; // "SSSTSNP0"

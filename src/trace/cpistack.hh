@@ -80,13 +80,22 @@ class CpiStack
         *cats_[static_cast<std::size_t>(cat)] += n;
     }
 
+    /** Re-attribute @p n cycles already charged to @p from. */
+    void move(CpiCat from, CpiCat to, std::uint64_t n)
+    {
+        Scalar &src = *cats_[static_cast<std::size_t>(from)];
+        src.set(src.value() - n);
+        add(to, n);
+    }
+
     std::uint64_t value(CpiCat cat) const
     {
         return cats_[static_cast<std::size_t>(cat)]->value();
     }
 
-    /** Sum over all categories; equals the core's cycle count once
-     *  attribution has been finalised. */
+    /** Sum over all categories; equals the core's cycle count at every
+     *  cycle (speculating cycles are charged provisionally and moved
+     *  on rollback). */
     std::uint64_t total() const;
 
   private:

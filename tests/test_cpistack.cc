@@ -31,7 +31,6 @@ expectSumsToCycles(const std::string &model, CoreParams params)
 {
     CoreRun r = makeRun(model, kMissChain, params);
     r.run();
-    r.core->finalizeAttribution();
     EXPECT_TRUE(r.archMatchesGolden()) << model;
     EXPECT_EQ(r.core->cpiStack().total(), r.core->cycles()) << model;
     EXPECT_GT(r.core->cpiStack().value(trace::CpiCat::Base), 0u)
@@ -64,7 +63,6 @@ TEST(CpiStack, SstChargesSpeculationCycles)
 {
     CoreRun r = makeRun("sst", kMissChain, sstParams(2));
     r.run();
-    r.core->finalizeAttribution();
     // The region committed, so speculating cycles landed in replay (or
     // the queue-pressure categories), not in rollback_discard.
     trace::CpiStack &stack = r.core->cpiStack();
@@ -76,7 +74,6 @@ TEST(CpiStack, ScoutChargesDiscardedWork)
 {
     CoreRun r = makeRun("sst", kMissChain, sstParams(1, true));
     r.run();
-    r.core->finalizeAttribution();
     // Every scout region ends in a rollback: its speculation cycles are
     // all wasted work by construction.
     trace::CpiStack &stack = r.core->cpiStack();
@@ -84,14 +81,24 @@ TEST(CpiStack, ScoutChargesDiscardedWork)
     EXPECT_EQ(stack.value(trace::CpiCat::Replay), 0u);
 }
 
-TEST(CpiStack, FinalizeIsIdempotent)
+TEST(CpiStack, SumsToCyclesAtEveryCycle)
 {
-    CoreRun r = makeRun("sst", kMissChain, sstParams(2));
-    r.run();
-    r.core->finalizeAttribution();
-    std::uint64_t total = r.core->cpiStack().total();
-    r.core->finalizeAttribution();
-    EXPECT_EQ(r.core->cpiStack().total(), total);
+    // Speculating cycles are charged provisionally, not held back, so
+    // the stack is complete mid-region too: a harvest at any cycle
+    // (a budget stop, a sliced run) needs no flush that could move
+    // cycles between buckets. Scout rolls back every region, so its
+    // provisional charges are moved as well.
+    for (bool scout : {false, true}) {
+        CoreRun r = makeRun("sst", kMissChain, sstParams(scout ? 1 : 2,
+                                                         scout));
+        while (!r.core->halted() && r.core->cycles() < 10'000) {
+            r.core->tick();
+            ASSERT_EQ(r.core->cpiStack().total(), r.core->cycles())
+                << (scout ? "scout" : "sst") << " at cycle "
+                << r.core->cycles();
+        }
+        EXPECT_TRUE(r.core->halted());
+    }
 }
 
 TEST(CpiStack, CoherentCmpSumsToCyclesWithCoherenceBucket)
@@ -154,4 +161,47 @@ TEST(CpiStack, SmtSumsToCycles)
     ASSERT_TRUE(core.halted());
     EXPECT_EQ(core.cpiStack().total(), core.cycles());
     EXPECT_GT(core.cpiStack().value(trace::CpiCat::Base), 0u);
+}
+
+/**
+ * A run cut into slices harvests exactly what one run() does. The cuts
+ * fall inside speculation regions that later roll back: a harvest that
+ * settled those cycles as committed work would leave them in replay /
+ * dq_full instead of rollback_discard.
+ */
+TEST(CpiStack, SlicedRunsHarvestLikeOneRun)
+{
+    Program program = workloadProgram("oltp_mix");
+    const std::vector<std::uint64_t> cuts = {9'000, 15'000};
+
+    Machine whole(makePreset("sst2"), program);
+    RunResult want = whole.run();
+    Machine sliced(makePreset("sst2"), program);
+    for (std::uint64_t cut : cuts)
+        (void)sliced.run(cut);
+    RunResult got = sliced.run();
+    ASSERT_TRUE(want.finished);
+    ASSERT_GT(want.cycles, cuts.back());
+    EXPECT_EQ(want.cycles, got.cycles);
+    expectStatsEqual(want.stats, got.stats);
+    EXPECT_TRUE(want.stats == got.stats);
+    EXPECT_EQ(whole.core().stats().toJson(), sliced.core().stats().toJson());
+
+    std::vector<const Program *> programs{&program, &program};
+    Cmp wholeChip(makePreset("sst2"), programs);
+    CmpResult wantChip = wholeChip.run();
+    Cmp slicedChip(makePreset("sst2"), programs);
+    for (std::uint64_t cut : cuts)
+        (void)slicedChip.run(cut);
+    CmpResult gotChip = slicedChip.run();
+    ASSERT_TRUE(wantChip.finished);
+    EXPECT_EQ(wantChip.cycles, gotChip.cycles);
+    for (unsigned c = 0; c < 2; ++c) {
+        SCOPED_TRACE("core " + std::to_string(c));
+        auto wantStats = wholeChip.core(c).stats().flatten();
+        auto gotStats = slicedChip.core(c).stats().flatten();
+        expectStatsEqual(wantStats, gotStats);
+        EXPECT_TRUE(wantStats == gotStats);
+    }
+    EXPECT_EQ(wholeChip.snapshot(), slicedChip.snapshot());
 }

@@ -172,9 +172,7 @@ TEST(FastForward, OverrideSwitch)
 {
     setFastForward(false);
     EXPECT_FALSE(fastForwardEnabled());
-#if !SST_DISABLE_FASTFWD
     setFastForward(true);
     EXPECT_TRUE(fastForwardEnabled());
-#endif
     clearFastForwardOverride();
 }

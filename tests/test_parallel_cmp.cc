@@ -15,12 +15,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/tickgate.hh"
 #include "sim/cmp.hh"
+#include "trace/trace.hh"
 #include "workloads/workloads.hh"
 
 using namespace sst;
@@ -340,6 +342,96 @@ TEST(ParallelCmp, RemoteWritesStillSquashAfterRestore)
     EXPECT_EQ(statSuffix(b, "coh_squashes"), squashesTotal);
     EXPECT_EQ(fullB.cycles, fullA.cycles);
     EXPECT_EQ(a.snapshot(), b.snapshot());
+}
+
+// --- periodic snapshots resume the chip byte-identically ----------
+
+TEST(ParallelCmp, PeriodicSnapshotResumeIsByteIdentical)
+{
+    WorkloadParams wp;
+    wp.lengthScale = 0.05;
+    Workload join = makeWorkload("hash_join", wp);
+    MachineConfig rock = makePreset("rock16");
+    std::vector<Workload> lock =
+        makeSharedWorkload("spinlock_counter", rock.cmpCores, wp);
+
+    struct Chip
+    {
+        std::string name;
+        MachineConfig mc;
+        std::vector<const Program *> programs;
+        std::uint64_t every;
+    };
+    std::vector<Chip> chips(2);
+    chips[0] = {"sst4 x4 salted", makePreset("sst4"),
+                std::vector<const Program *>(4, &join.program), 7'000};
+    chips[1] = {"rock16 spinlock", rock, {}, 1'500};
+    for (const Workload &x : lock)
+        chips[1].programs.push_back(&x.program);
+
+    for (const Chip &chip : chips) {
+        Cmp plain(chip.mc, chip.programs);
+        CmpResult want = plain.run();
+        ASSERT_TRUE(want.finished) << chip.name;
+        ASSERT_GT(want.cycles, 2 * chip.every) << chip.name;
+        const std::vector<std::uint8_t> wantSnap = plain.snapshot();
+
+        for (unsigned workers : {1u, 4u}) {
+            const std::string what =
+                chip.name + " -j" + std::to_string(workers);
+            SCOPED_TRACE(what);
+            MachineConfig mc = chip.mc;
+            mc.cmpWorkers = workers;
+            SnapPolicy policy;
+            policy.everyCycles = chip.every;
+            policy.path = ::testing::TempDir() + "sstsim_periodic_j"
+                          + std::to_string(workers) + ".snap";
+
+            // Writing snapshots must not perturb the run itself.
+            Cmp writer(mc, chip.programs);
+            CmpResult wrote = writer.run(500'000'000, policy);
+            EXPECT_EQ(want.cycles, wrote.cycles);
+            EXPECT_EQ(wantSnap, writer.snapshot());
+
+            // The file left behind is the last periodic checkpoint.
+            Cmp resumed(mc, chip.programs);
+            auto res = resumed.restoreFromFile(policy.path);
+            ASSERT_TRUE(res.ok()) << res.error().message;
+            EXPECT_FALSE(resumed.allHalted());
+            EXPECT_GE(resumed.cycles(), 2 * chip.every);
+            CmpResult got = resumed.run();
+            EXPECT_EQ(want.cycles, got.cycles);
+            EXPECT_EQ(want.totalInsts, got.totalInsts);
+            EXPECT_EQ(want.perCoreIpc, got.perCoreIpc);
+            EXPECT_EQ(wantSnap, resumed.snapshot())
+                << what << ": resumed chip state differs";
+            std::remove(policy.path.c_str());
+        }
+    }
+}
+
+// --- trace attachment ----------------------------------------------
+
+TEST(ParallelCmp, TraceBufferIsRefusedOnSeveralWorkers)
+{
+    WorkloadParams wp;
+    wp.lengthScale = 0.05;
+    Workload w = makeWorkload("stream", wp);
+    std::vector<const Program *> programs(2, &w.program);
+    MachineConfig mc = makePreset("sst2");
+    trace::TraceBuffer buf;
+
+    Cmp serial(mc, programs);
+    serial.attachTraceBuffer(&buf);
+    serial.attachTraceBuffer(nullptr);
+
+    mc.cmpWorkers = 2;
+    EXPECT_DEATH(
+        {
+            Cmp parallel(mc, programs);
+            parallel.attachTraceBuffer(&buf);
+        },
+        "one worker");
 }
 
 // --- worker-count plumbing -----------------------------------------
