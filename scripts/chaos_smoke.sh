@@ -30,10 +30,9 @@ echo "== chaos smoke: scratch in $SCRATCH"
 # Distributed run. Every worker is SIGKILLed at simulated cycle 50000
 # of its first attempt at a job (later attempts run clean, so the
 # sweep always converges); checkpoints every 20000 cycles mean the
-# retry resumes mid-job rather than from cycle 0. The socket lives in
-# the (short) scratch path: sun_path caps at ~107 bytes.
+# retry resumes mid-job rather than from cycle 0.
 "$SSTSIM" sweep "$MANIFEST" --distributed 3 \
-    --resume "$SCRATCH/artifacts" --socket "$SCRATCH/broker.sock" \
+    --resume "$SCRATCH/artifacts" \
     --snap-every 20000 --chaos-kill-cycle 50000 \
     --chaos-kill-attempt 1 --json "$SCRATCH/distributed.json" \
     | tee "$SCRATCH/broker.out"

@@ -38,7 +38,7 @@ constexpr int cycleBudget = 3;  ///< simulation exceeded max_cycles
 constexpr int livelock = 4;     ///< watchdog gave up on forward progress
 constexpr int diverged = 5;     ///< `sstsim diff` found a state divergence
 constexpr int quarantine = 6;   ///< sweep finished with quarantined jobs
-constexpr int svcFailure = 7;   ///< experiment-service socket/protocol loss
+constexpr int svcFailure = 7;   ///< experiment-service fork/pipe failure
 constexpr int usage = 64;       ///< malformed/unknown command-line key
 constexpr int badInput = 65;    ///< bad config value / program input
 } // namespace exit_code

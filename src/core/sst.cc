@@ -660,7 +660,11 @@ SstCore::normalIssueOne()
     auto ready = [&](RegId r) { return r == 0 || regReady_[r] <= now_; };
     if ((info.readsRs1 && !ready(inst.rs1))
         || (info.readsRs2 && !ready(inst.rs2))) {
-        noteStall(trace::CpiCat::UseStall);
+        // Same bucket classifyIdle charges for a skipped stall cycle.
+        bool coh = (info.readsRs1 && !ready(inst.rs1) && regCoh_[inst.rs1])
+                   || (info.readsRs2 && !ready(inst.rs2)
+                       && regCoh_[inst.rs2]);
+        noteStall(coh ? trace::CpiCat::Coherence : trace::CpiCat::UseStall);
         return false;
     }
 

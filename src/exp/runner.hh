@@ -132,11 +132,12 @@ struct SweepRunOptions
      */
     bool resume = false;
     /**
-     * Process-chaos monitor to attach to each job's machine (service
-     * workers pass theirs; in-process sweeps leave it null). When set,
-     * a job whose effective config carries fault.chaos_exit_cycle will
-     * kill/stall this process at that simulated cycle — the poison-job
-     * and crash-recovery test hook. See fault/chaos.hh.
+     * Process-chaos monitor to attach to each job's machine (the
+     * sweep supervisor's children pass theirs; in-process sweeps leave
+     * it null). When set, a job whose effective config carries
+     * fault.chaos_exit_cycle will kill/stall this process at that
+     * simulated cycle — the poison-job and crash-recovery test hook.
+     * See fault/chaos.hh.
      */
     ChaosMonitor *chaos = nullptr;
     /**
@@ -178,7 +179,7 @@ bool outcomeFromRecord(const JobSpec &job, const std::string &text,
 JobOutcome unrunOutcome(const JobSpec &job, const std::string &error);
 
 /**
- * Resume pass shared by the in-process runner and the service broker:
+ * Resume pass shared by the in-process runner and the supervisor:
  * scan @p artifactDir for finished records of @p jobs, feed matching
  * ones to @p sink and mark them in @p done (sized to jobs.size()).
  * Corrupt or mismatching artifacts warn and stay un-done. @return the

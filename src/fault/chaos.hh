@@ -5,11 +5,12 @@
  * The fault injector (fault.hh) perturbs the *simulated* machine; this
  * monitor perturbs the *host process running it*, so the service's
  * crash-recovery machinery (lease timeouts, checkpoint re-lease,
- * poison-job quarantine) can be exercised deterministically. A worker
- * arms the monitor before running a job; the engine calls observe() at
- * every barrier, and at the first barrier at or after the scheduled
- * simulated cycle the monitor either kills the process (modelling a crashed/SIGKILLed
- * worker) or stalls it while muting heartbeats (modelling a hung one).
+ * poison-job quarantine) can be exercised deterministically. A sweep
+ * child arms the monitor before running its job; the engine calls
+ * observe() at every barrier, and at the first barrier at or after the
+ * scheduled simulated cycle the monitor either kills the process
+ * (modelling a crashed/SIGKILLed worker) or stalls it while muting
+ * heartbeats (modelling a hung one).
  *
  * Keying chaos to a simulated cycle rather than wall clock is what
  * makes service chaos tests reproducible: the job state at the kill is
@@ -19,8 +20,9 @@
  * The `fault.chaos_exit_cycle` machine-config key feeds the same
  * monitor: it travels with a job's config, so *every* attempt of that
  * job kills its worker — a poison job. It is honoured only where a
- * monitor is attached (service workers); in-process sweeps and plain
- * runs ignore it, so a poison manifest cannot kill the broker.
+ * monitor is attached (the supervisor's children); in-process sweeps
+ * and plain runs ignore it, so a poison manifest cannot kill the
+ * supervisor.
  */
 
 #ifndef SSTSIM_FAULT_CHAOS_HH
@@ -69,7 +71,7 @@ class ChaosMonitor
     /** Called by the engine at every barrier with the chip clock. */
     void observe(Cycle now);
 
-    /** Latest cycle seen by observe() (heartbeat payload). */
+    /** Latest cycle seen by observe(). */
     Cycle lastObserved() const
     {
         return lastCycle_.load(std::memory_order_relaxed);

@@ -464,20 +464,10 @@ buildProfileLibrary(const MachineConfig &config, const Program &program,
     fatal_if(params.warmCpi == 0, "profile: warmCpi must be positive");
     fatal_if(params.maxInsts == 0, "profile: maxInsts must be positive");
 
-    std::uint64_t stride = params.regionInsts;
-    if (stride == 0) {
-        // Counting pre-pass: cut the program into ~16 regions.
-        MemoryImage cimage;
-        cimage.loadSegments(program);
-        Executor cexec(program, cimage);
-        ArchState cs;
-        std::uint64_t n = cexec.run(cs, params.maxInsts);
-        fatal_if(!cs.halted,
-                 "profile: '%s' did not halt within %llu instructions",
-                 program.name().c_str(),
-                 static_cast<unsigned long long>(params.maxInsts));
-        stride = clampStride(n / 16);
-    }
+    fatal_if(params.regionInsts == 0,
+             "profile: regionInsts must be resolved (ensureProfileLibrary "
+             "resolves 0)");
+    const std::uint64_t stride = params.regionInsts;
 
     ProfileLibrary lib;
     lib.preset = config.presetName;
@@ -696,17 +686,28 @@ loadProfileLibrary(const std::string &dir, const MachineConfig &config,
 
 Result<ProfileLibrary>
 ensureProfileLibrary(const MachineConfig &config, const Program &program,
-                     const ProfileParams &params,
+                     const ProfileParams &requested,
                      const std::string &cacheRoot, std::uint64_t configHash)
 {
+    ProfileParams params = requested;
+    if (params.regionInsts == 0) {
+        // The stride is part of the cache key, so resolve it first: one
+        // functional counting pass, cut into profileRegionHint regions.
+        MemoryImage countMem;
+        countMem.loadSegments(program);
+        Executor counter(program, countMem);
+        ArchState countState;
+        std::uint64_t n = counter.run(countState, params.maxInsts);
+        if (!countState.halted)
+            return Error{"program does not halt functionally within the "
+                         "profiling budget",
+                         exit_code::badInput};
+        params.regionInsts = profileRegionHint(n);
+    }
     if (cacheRoot.empty())
         return trapFatal(
             [&] { return buildProfileLibrary(config, program, params,
                                              configHash); });
-    if (params.regionInsts == 0)
-        return Error{"profile cache lookups need a resolved region "
-                     "stride; set regionInsts (profileRegionHint) before "
-                     "caching"};
     std::string dir =
         profileCacheDir(cacheRoot, config, program, params, configHash);
     if (auto cached =

@@ -44,10 +44,11 @@ namespace sst
 struct ProfileParams
 {
     /** Instructions per fixed-stride region (the snapshot stride).
-     *  0 = auto: profileRegionHint() of the workload when the caller
-     *  has one, else a counting pre-pass cuts the program into ~16
-     *  regions (clamped like the hint). Cache lookups need a resolved
-     *  (non-zero) stride — it is part of the cache key. */
+     *  0 = auto: ensureProfileLibrary runs a functional counting
+     *  pre-pass and takes profileRegionHint() of the count. Callers
+     *  that already know the dynamic length can pass the hint
+     *  themselves and skip that pass. buildProfileLibrary needs it
+     *  resolved (non-zero). */
     std::uint64_t regionInsts = 0;
     /** Representative regions to keep (k-center k). 0 keeps every
      *  region: the fixed-stride fallback. */
@@ -123,8 +124,9 @@ std::uint64_t profileRegionHint(std::uint64_t approxDynInsts);
  * selection then picks the representatives; pass 2 replays the program
  * with cache warming (runSampled's fast-forward semantics, including
  * the bounded MSHR-retry loop) and serializes each selected region's
- * start state. The program must halt within params.maxInsts (fatal
- * otherwise — wrap in trapFatal on untrusted input).
+ * start state. params.regionInsts must be resolved (non-zero), and the
+ * program must halt within params.maxInsts (fatal otherwise — wrap in
+ * trapFatal on untrusted input).
  */
 ProfileLibrary buildProfileLibrary(const MachineConfig &config,
                                    const Program &program,
@@ -167,15 +169,18 @@ Result<ProfileLibrary> loadProfileLibrary(const std::string &dir,
                                           std::uint64_t configHash);
 
 /**
- * Cache-or-build: look the library up under @p cacheRoot, rebuild and
- * atomically populate the entry on a miss (or on a corrupt entry), and
- * return the in-memory library either way. An empty @p cacheRoot
- * builds in memory without touching disk. The returned members are
- * byte-identical whether they came from the cache or were just built.
+ * Cache-or-build: resolve an auto (0) region stride with a counting
+ * pre-pass (an Error with exit_code::badInput when the program does not
+ * halt within requested.maxInsts), look the library up under
+ * @p cacheRoot, rebuild and atomically populate the entry on a miss
+ * (or on a corrupt entry), and return the in-memory library either
+ * way. An empty @p cacheRoot builds in memory without touching disk.
+ * The returned members are byte-identical whether they came from the
+ * cache or were just built.
  */
 Result<ProfileLibrary> ensureProfileLibrary(const MachineConfig &config,
                                             const Program &program,
-                                            const ProfileParams &params,
+                                            const ProfileParams &requested,
                                             const std::string &cacheRoot,
                                             std::uint64_t configHash);
 

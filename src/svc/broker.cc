@@ -191,6 +191,16 @@ Broker::checkTimeouts(std::uint64_t nowMs)
 }
 
 bool
+Broker::holdsLease(int worker) const
+{
+    return std::any_of(info_.begin(), info_.end(),
+                       [worker](const JobInfo &job) {
+                           return job.state == JobState::Leased
+                                  && job.owner == worker;
+                       });
+}
+
+bool
 Broker::finished() const
 {
     for (const JobInfo &job : info_)

@@ -6,8 +6,8 @@
  * clocks or processes. Every entry point takes the current time in
  * milliseconds as a parameter, so unit tests drive it with a manual
  * clock and exercise lease expiry, retry backoff and quarantine
- * without sleeping. The socket server (server.hh) is a thin shell
- * that feeds it real time and real messages.
+ * without sleeping. The sweep supervisor (server.hh) is a thin shell
+ * that feeds it real time, heartbeats and reaped children.
  *
  * Job lifecycle:
  *
@@ -127,6 +127,10 @@ class Broker
     /** Expire overdue leases; call periodically. @return the number
      *  of leases reclaimed. */
     std::size_t checkTimeouts(std::uint64_t nowMs);
+
+    /** True while @p worker holds a live lease (false once it
+     *  expired, ended or was never granted). */
+    bool holdsLease(int worker) const;
 
     /** True once every job is Done or Quarantined. */
     bool finished() const;

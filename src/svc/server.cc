@@ -1,24 +1,26 @@
 #include "svc/server.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
+#include <mutex>
+#include <sstream>
+#include <thread>
 
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
 #include "exp/runner.hh"
-#include "svc/channel.hh"
-#include "svc/proto.hh"
+#include "fault/chaos.hh"
 
 namespace sst::svc
 {
@@ -36,53 +38,29 @@ steadyMs()
             .count());
 }
 
-/** One accepted worker connection. */
-struct Conn
-{
-    int fd = -1;
-    std::unique_ptr<LineReader> reader;
-    int workerId = -1; ///< broker id once hello arrives
-    std::string name;
-    bool saidGoodbye = false;
-};
-
-/** One spawned (supervised) worker process slot. */
-struct Spawned
+/** One live child: the job it leased and its heartbeat pipe. */
+struct Child
 {
     pid_t pid = -1;
-    unsigned slot = 0; ///< stable log-file suffix across respawns
+    unsigned slot = 0; ///< log-file suffix, < spawnWorkers
+    int worker = -1;   ///< broker id (one per child)
+    std::size_t job = 0;
+    int beatFd = -1; ///< read end of the heartbeat pipe
 };
 
 /**
- * Fork+exec one worker against @p options, with stderr appended to
- * "<artifactDir>/worker-<slot>.log". @return the child pid, -1 on
- * failure.
+ * The child's whole life: log to "<artifactDir>/worker-<slot>.log",
+ * arm chaos for this attempt, heartbeat @p beatFd from a helper thread
+ * while exp::runJob runs (and writes the record), then _exit. Never
+ * returns.
  */
-pid_t
-spawnWorker(const ServeOptions &options, unsigned slot)
+[[noreturn]] void
+runChild(const exp::SweepSpec &spec, const exp::JobSpec &job,
+         unsigned attempt, unsigned slot, int beatFd,
+         const ServeOptions &options)
 {
-    std::string exe = options.exePath.empty() ? "/proc/self/exe"
-                                              : options.exePath;
     std::string logPath = options.artifactDir + "/worker-"
                           + std::to_string(slot) + ".log";
-    std::string name = "w" + std::to_string(slot);
-
-    std::vector<std::string> args = {exe,
-                                     "work",
-                                     "--socket",
-                                     options.socketPath,
-                                     "--name",
-                                     name};
-    for (const auto &extra : options.workerArgs)
-        args.push_back(extra);
-
-    pid_t pid = ::fork();
-    if (pid != 0)
-        return pid;
-
-    // Child. Route diagnostics to the per-slot log (append: respawns
-    // continue the same file; both streams — inform() uses stdout),
-    // then become the worker.
     int logFd = ::open(logPath.c_str(),
                        O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (logFd >= 0) {
@@ -90,14 +68,99 @@ spawnWorker(const ServeOptions &options, unsigned slot)
         ::dup2(logFd, 2);
         ::close(logFd);
     }
-    std::vector<char *> argv;
-    for (auto &a : args)
-        argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execv(exe.c_str(), argv.data());
-    std::fprintf(stderr, "exec '%s' failed: %s\n", exe.c_str(),
-                 std::strerror(errno));
-    ::_exit(127);
+    std::printf("worker w%u (pid %d): job #%zu (%s/%s) attempt %u\n",
+                slot, static_cast<int>(::getpid()), job.index,
+                job.preset.c_str(), job.workload.c_str(), attempt);
+    std::fflush(stdout);
+
+    ChaosMonitor chaos;
+    const WorkerChaos &wc = options.chaos;
+    if (wc.killCycle && attempt == wc.killAttempt)
+        chaos.scheduleExit(wc.killCycle, SIGKILL);
+    if (wc.stallCycle && attempt == wc.stallAttempt)
+        chaos.scheduleStall(wc.stallCycle, wc.stallMs);
+
+    exp::SweepRunOptions run;
+    run.jobs = 1;
+    run.artifactDir = options.artifactDir;
+    run.snapEvery = options.snapEvery;
+    // A re-leased job resumes from the checkpoint its previous attempt
+    // left behind instead of restarting from cycle 0.
+    run.resume = true;
+    run.chaos = &chaos;
+    run.profileCache = options.profileCache;
+
+    const auto beatPeriod = std::chrono::milliseconds(
+        std::max<std::uint64_t>(options.broker.leaseTimeoutMs / 3, 1));
+    std::mutex mutex;
+    std::condition_variable wake;
+    bool finished = false; // guarded by mutex
+    std::thread beats([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        while (!wake.wait_for(lock, beatPeriod, [&] { return finished; }))
+            if (!chaos.muted())
+                [[maybe_unused]] auto n = ::write(beatFd, "h", 1);
+    });
+    exp::runJob(spec, job, run);
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        finished = true;
+    }
+    wake.notify_one();
+    beats.join();
+
+    std::fflush(nullptr);
+    ::_exit(exit_code::ok);
+}
+
+/**
+ * Whatever the child's exit status, its record file decides: a record
+ * that belongs to this job is the result; anything else is a worker
+ * that died holding its lease (a no-op when the lease already
+ * expired).
+ */
+void
+settleChild(Broker &broker, const std::vector<exp::JobSpec> &jobs,
+            const ServeOptions &options, const Child &child, int status)
+{
+    ::close(child.beatFd);
+    if (WIFSIGNALED(status))
+        inform("serve: worker w%u killed by signal %d", child.slot,
+               WTERMSIG(status));
+    const exp::JobSpec &job = jobs[child.job];
+    const std::uint64_t now = steadyMs();
+    std::ifstream in(exp::jobRecordPath(options.artifactDir, job.index));
+    if (in) {
+        std::stringstream ss;
+        ss << in.rdbuf();
+        exp::JobOutcome probe;
+        if (exp::outcomeFromRecord(job, ss.str(), probe)) {
+            broker.result(child.worker, child.job, ss.str(), now);
+            return;
+        }
+    }
+    broker.workerLeft(child.worker, now);
+}
+
+/** Drain @p fd; @return whether anything arrived, and set @p eof once
+ *  every write end is closed (the child exited). */
+bool
+drainBeats(int fd, bool &eof)
+{
+    bool beat = false;
+    char buf[64];
+    for (;;) {
+        ssize_t n = ::read(fd, buf, sizeof buf);
+        if (n > 0) {
+            beat = true;
+            continue;
+        }
+        if (n == 0)
+            eof = true;
+        else if (errno == EINTR)
+            continue;
+        return beat;
+    }
 }
 
 void
@@ -113,11 +176,8 @@ printScoreboard(const Scoreboard &b)
 } // namespace
 
 int
-serveSweep(const exp::SweepSpec &spec, const std::string &manifestText,
-           const ServeOptions &options)
+serveSweep(const exp::SweepSpec &spec, const ServeOptions &options)
 {
-    std::signal(SIGPIPE, SIG_IGN);
-
     if (options.artifactDir.empty()) {
         warn("serve: an artifact directory is required");
         return exit_code::usage;
@@ -131,11 +191,12 @@ serveSweep(const exp::SweepSpec &spec, const std::string &manifestText,
     }
     if (spec.sample) {
         // Sampled sweeps share one snapshot-library cache across every
-        // worker (exp::resolveProfileCache lands here for each of
+        // child (exp::resolveProfileCache lands here for each of
         // them); create it up front so the first concurrent populators
         // only race on members, never on the directory itself.
         exp::SweepRunOptions probe;
         probe.artifactDir = options.artifactDir;
+        probe.profileCache = options.profileCache;
         std::string cache = exp::resolveProfileCache(spec, probe);
         std::filesystem::create_directories(cache, ec);
         if (ec)
@@ -149,226 +210,126 @@ serveSweep(const exp::SweepSpec &spec, const std::string &manifestText,
     const std::vector<exp::JobSpec> jobs = spec.expand();
     exp::ResultSink sink(jobs.size());
     std::vector<char> done(jobs.size(), 0);
-    if (options.resume)
-        exp::loadFinishedRecords(jobs, options.artifactDir, sink, done);
+    exp::loadFinishedRecords(jobs, options.artifactDir, sink, done);
 
     Broker broker(jobs, options.broker, sink, done);
+    const unsigned slots = std::max(options.spawnWorkers, 1u);
+    std::vector<Child> live;
+    // A broker id joined for a slot but not yet granted a lease; kept
+    // so a "wait" answer does not register a new worker every poll.
+    std::vector<int> spare(slots, -1);
+    bool infraFailed = false;
 
-    auto listening = listenUnix(options.socketPath);
-    if (!listening.ok()) {
-        warn("serve: %s", listening.error().message.c_str());
-        return exit_code::svcFailure;
-    }
-    int listenFd = listening.value();
-
-    std::vector<Spawned> children;
-    // Respawn budget: enough that every job could burn its full
-    // attempt budget on a fresh process, but still bounded so a
-    // pathological crash loop terminates.
-    std::size_t respawnsLeft =
-        options.spawnWorkers
-            ? options.spawnWorkers
-                  + jobs.size() * options.broker.maxAttempts
-            : 0;
-    for (unsigned slot = 0; slot < options.spawnWorkers; ++slot) {
-        if (respawnsLeft)
-            --respawnsLeft;
-        pid_t pid = spawnWorker(options, slot);
-        if (pid < 0) {
-            warn("serve: fork failed: %s", std::strerror(errno));
-            continue;
+    auto reap = [&](std::size_t c, bool kill) {
+        int status = 0;
+        if (kill)
+            ::kill(live[c].pid, SIGKILL);
+        while (::waitpid(live[c].pid, &status, 0) < 0 && errno == EINTR) {
         }
-        children.push_back({pid, slot});
-    }
-
-    std::vector<Conn> conns;
-    auto closeConn = [&](Conn &conn, std::uint64_t nowMs) {
-        if (conn.workerId >= 0 && !conn.saidGoodbye)
-            broker.workerLeft(conn.workerId, nowMs);
-        ::close(conn.fd);
-        conn.fd = -1;
+        settleChild(broker, jobs, options, live[c], status);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(c));
     };
 
-    bool infraFailed = false;
-    std::uint64_t finishedAtMs = 0;
-    // Grace window for workers to observe "done" and disconnect once
-    // the sweep completes before the server force-closes them.
-    const std::uint64_t graceMs = 5000;
+    while (!broker.finished() || !live.empty()) {
+        // Fill free slots with newly leased jobs.
+        while (!infraFailed && live.size() < slots) {
+            unsigned slot = 0;
+            while (std::any_of(live.begin(), live.end(),
+                               [&](const Child &c) {
+                                   return c.slot == slot;
+                               }))
+                ++slot;
+            std::uint64_t now = steadyMs();
+            if (spare[slot] < 0)
+                spare[slot] = broker.workerJoined(
+                    "w" + std::to_string(slot), now);
+            auto d = broker.lease(spare[slot], now);
+            if (d.kind != Broker::LeaseDecision::Kind::Grant)
+                break;
+            Child child;
+            child.slot = slot;
+            child.worker = spare[slot];
+            child.job = d.job;
+            spare[slot] = -1;
 
-    for (;;) {
-        std::uint64_t now = steadyMs();
-        broker.checkTimeouts(now);
-
-        if (broker.finished() && !finishedAtMs)
-            finishedAtMs = now;
-        if (finishedAtMs
-            && (conns.empty() || now - finishedAtMs > graceMs))
-            break;
-
-        // Reap exited children; respawn while there is still work.
-        for (auto &child : children) {
-            if (child.pid < 0)
-                continue;
-            int status = 0;
-            pid_t r = ::waitpid(child.pid, &status, WNOHANG);
-            if (r != child.pid)
-                continue;
-            child.pid = -1;
-            if (WIFSIGNALED(status))
-                inform("serve: worker slot %u killed by signal %d",
-                       child.slot, WTERMSIG(status));
-            if (!broker.finished() && respawnsLeft) {
-                --respawnsLeft;
-                pid_t pid = spawnWorker(options, child.slot);
-                if (pid > 0) {
-                    inform("serve: respawned worker slot %u",
-                           child.slot);
-                    child.pid = pid;
-                }
+            int fds[2];
+            if (::pipe(fds) != 0) {
+                warn("serve: pipe failed: %s", std::strerror(errno));
+                broker.workerLeft(child.worker, now);
+                infraFailed = true;
+                break;
             }
+            // No buffered output may be written twice (once per
+            // process) after the fork.
+            std::fflush(nullptr);
+            pid_t pid = ::fork();
+            if (pid == 0) {
+                // Drop every read end, so this child's pipe and its
+                // siblings' each keep the supervisor as sole reader.
+                ::close(fds[0]);
+                for (const Child &c : live)
+                    ::close(c.beatFd);
+                runChild(spec, jobs[d.job], d.attempt, slot, fds[1],
+                         options);
+            }
+            ::close(fds[1]);
+            if (pid < 0) {
+                warn("serve: fork failed: %s", std::strerror(errno));
+                ::close(fds[0]);
+                broker.workerLeft(child.worker, now);
+                infraFailed = true;
+                break;
+            }
+            ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
+            child.pid = pid;
+            child.beatFd = fds[0];
+            live.push_back(child);
         }
-
-        // A spawned-pool sweep with no live workers, no external
-        // connections and no respawn budget left can never finish:
-        // surface that instead of wedging.
-        if (!broker.finished() && options.spawnWorkers
-            && conns.empty() && !respawnsLeft
-            && std::all_of(children.begin(), children.end(),
-                           [](const Spawned &c) { return c.pid < 0; })) {
-            warn("serve: worker pool exhausted with work remaining");
-            infraFailed = true;
+        if (infraFailed)
             break;
-        }
 
         std::vector<pollfd> fds;
-        fds.push_back({listenFd, POLLIN, 0});
-        const std::size_t polled = conns.size();
-        for (const Conn &conn : conns)
-            fds.push_back({conn.fd, POLLIN, 0});
-
+        for (const Child &c : live)
+            fds.push_back({c.beatFd, POLLIN, 0});
+        std::uint64_t now = steadyMs();
         std::uint64_t deadline = broker.nextDeadline(now);
         int timeout = 200;
         if (deadline > now)
             timeout = static_cast<int>(
                 std::min<std::uint64_t>(deadline - now, 200));
-        int ready = ::poll(fds.data(), fds.size(), timeout);
-        if (ready < 0 && errno != EINTR) {
+        if (::poll(fds.data(), fds.size(), timeout) < 0
+            && errno != EINTR) {
             warn("serve: poll: %s", std::strerror(errno));
             infraFailed = true;
             break;
         }
+
+        // Heartbeats; a closed pipe means the child exited. `fds` is
+        // index-aligned with `live`, so walk both back to front.
         now = steadyMs();
-
-        if (fds[0].revents & POLLIN) {
-            int fd = ::accept(listenFd, nullptr, nullptr);
-            if (fd >= 0) {
-                if (auto nb = setNonBlocking(fd); !nb.ok()) {
-                    warn("serve: %s", nb.error().message.c_str());
-                    ::close(fd);
-                } else {
-                    Conn conn;
-                    conn.fd = fd;
-                    conn.reader = std::make_unique<LineReader>(fd);
-                    conns.push_back(std::move(conn));
-                }
-            }
-        }
-
-        // `polled` caps the scan: a connection accepted above has no
-        // pollfd entry this round.
-        for (std::size_t c = 0; c < polled; ++c) {
-            Conn &conn = conns[c];
-            if (!(fds[c + 1].revents & (POLLIN | POLLHUP | POLLERR)))
+        for (std::size_t c = live.size(); c-- > 0;) {
+            if (!fds[c].revents)
                 continue;
-            std::vector<std::string> lines;
-            bool open = conn.reader->drain(lines);
-            for (const std::string &line : lines) {
-                auto pm = parseMessage(line);
-                if (!pm.ok()) {
-                    warn("serve: dropping connection: %s",
-                         pm.error().message.c_str());
-                    (void)sendLine(conn.fd,
-                                   errorLine(pm.error().message));
-                    open = false;
-                    break;
-                }
-                const Message m = pm.take();
-                if (m.type == "hello") {
-                    conn.workerId = broker.workerJoined(
-                        m.worker.empty() ? "anonymous" : m.worker, now);
-                    conn.name = m.worker;
-                    if (!options.quiet)
-                        inform("serve: worker '%s' joined (pid %lld)",
-                               conn.name.c_str(),
-                               static_cast<long long>(m.pid));
-                    (void)sendLine(
-                        conn.fd,
-                        welcomeLine(manifestText, options.artifactDir,
-                                    options.snapEvery, true));
-                } else if (conn.workerId < 0) {
-                    (void)sendLine(conn.fd,
-                                   errorLine("hello required first"));
-                    open = false;
-                    break;
-                } else if (m.type == "lease_req") {
-                    auto d = broker.lease(conn.workerId, now);
-                    std::string reply =
-                        d.kind == Broker::LeaseDecision::Kind::Grant
-                            ? leaseLine(d.job, d.attempt)
-                        : d.kind == Broker::LeaseDecision::Kind::Finished
-                            ? doneLine()
-                            : waitLine(d.waitMs);
-                    (void)sendLine(conn.fd, reply);
-                } else if (m.type == "heartbeat") {
-                    broker.heartbeat(conn.workerId, m.job, now);
-                } else if (m.type == "result") {
-                    broker.result(conn.workerId, m.job, m.record, now);
-                } else if (m.type == "fail") {
-                    broker.fail(conn.workerId, m.job, m.error, now);
-                } else if (m.type == "goodbye") {
-                    conn.saidGoodbye = true;
-                } else {
-                    (void)sendLine(conn.fd,
-                                   errorLine("unknown message type '"
-                                             + m.type + "'"));
-                }
-            }
-            if (!open)
-                closeConn(conn, now);
+            bool eof = false;
+            if (drainBeats(live[c].beatFd, eof))
+                broker.heartbeat(live[c].worker, live[c].job, now);
+            if (eof)
+                reap(c, false);
         }
-        conns.erase(std::remove_if(conns.begin(), conns.end(),
-                                   [](const Conn &conn) {
-                                       return conn.fd < 0;
-                                   }),
-                    conns.end());
+
+        // Expired leases: their children are hung; kill and reap them.
+        broker.checkTimeouts(steadyMs());
+        for (std::size_t c = live.size(); c-- > 0;)
+            if (!broker.holdsLease(live[c].worker))
+                reap(c, true);
     }
 
-    std::uint64_t now = steadyMs();
-    for (Conn &conn : conns)
-        closeConn(conn, now);
-    ::close(listenFd);
-    ::unlink(options.socketPath.c_str());
+    // Only an infrastructure failure leaves children behind.
+    while (!live.empty())
+        reap(live.size() - 1, true);
 
-    // Give exiting children a moment, then make sure none outlive us.
-    for (auto &child : children) {
-        if (child.pid < 0)
-            continue;
-        int status = 0;
-        for (int i = 0; i < 50; ++i) {
-            if (::waitpid(child.pid, &status, WNOHANG) == child.pid) {
-                child.pid = -1;
-                break;
-            }
-            ::usleep(20'000);
-        }
-        if (child.pid >= 0) {
-            ::kill(child.pid, SIGKILL);
-            ::waitpid(child.pid, &status, 0);
-        }
-    }
-
-    // Jobs that never completed (pool exhausted / early abort) still
-    // get a record so the aggregate output names every job.
+    // Jobs that never completed (infrastructure failure) still get a
+    // record so the aggregate output names every job.
     if (infraFailed)
         for (std::size_t i = 0; i < jobs.size(); ++i)
             if (!sink.has(i))

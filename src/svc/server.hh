@@ -1,25 +1,29 @@
 /**
  * @file
- * The broker's socket shell: accept loop, worker process management,
- * and the final scoreboard.
+ * The sweep supervisor: runs a sweep's jobs in forked child processes
+ * under the Broker's lease policy, and prints the final scoreboard.
  *
- * serveSweep() wraps the pure Broker state machine (broker.hh) in a
- * poll()-driven Unix-socket server. It can run broker-only (workers
- * join externally via `sstsim work`) or spawn-and-supervise its own
- * worker pool (`sstsim sweep --distributed N`): spawned workers get
- * their stderr redirected to "<artifactDir>/worker-<slot>.log", are
- * reaped on exit, and are respawned — within a bounded budget — while
- * the sweep still has work, so a SIGKILLed worker costs one lease
- * retry, not the sweep.
+ * serveSweep() forks one child per leased job, at most
+ * ServeOptions::spawnWorkers at a time. A child already holds the
+ * expanded SweepSpec (it is a copy of this process), runs exactly one
+ * job through exp::runJob and leaves with _exit. Its stdout/stderr go
+ * to "<artifactDir>/worker-<slot>.log". While the job runs, the child
+ * writes one byte to its own pipe every leaseTimeoutMs/3; the parent
+ * poll()s those pipes and feeds each byte to Broker::heartbeat.
  *
- * Crash-safety contract: every record is written to the artifact
- * directory by the worker that produced it (atomically, fsynced)
- * *before* it is reported over the socket, and in-flight jobs leave
- * periodic checkpoints. Killing any worker — or the whole service —
- * at any point therefore loses at most the work since the last
- * checkpoint, and a re-run with --resume (or a re-leased job) picks
- * up exactly where the artifacts say it stopped, producing
- * byte-identical aggregate output.
+ * The record file is the result channel. When the parent reaps a
+ * child (whatever its exit status), it reads "<artifactDir>/job-N.json":
+ * a record that passes exp::outcomeFromRecord is the job's result, and
+ * anything else counts as the worker dying with its lease. An expired
+ * lease gets its child SIGKILLed and reaped.
+ *
+ * Crash-safety contract: exp::runJob writes every record atomically
+ * (fsynced) before the child exits, and in-flight jobs leave periodic
+ * checkpoints that the next attempt resumes from. Killing a child, or
+ * the whole sweep, at any point therefore loses at most the work since
+ * the last checkpoint, and a re-run with --resume picks up exactly
+ * where the artifacts say it stopped, producing byte-identical
+ * aggregate output.
  */
 
 #ifndef SSTSIM_SVC_SERVER_HH
@@ -27,7 +31,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "exp/sweep.hh"
 #include "svc/broker.hh"
@@ -35,38 +38,48 @@
 namespace sst::svc
 {
 
+/** Test chaos armed in a child, keyed to the lease attempt it runs. */
+struct WorkerChaos
+{
+    /** Kill the child (SIGKILL) at this simulated cycle (0 = off)... */
+    std::uint64_t killCycle = 0;
+    /** ...but only on the job's Nth lease attempt. With the default
+     *  of 1 the retry (attempt 2) runs clean, so one flag models "die
+     *  once, then recover". */
+    unsigned killAttempt = 1;
+    /** Stall the child (mute heartbeats and sleep stallMs) at this
+     *  simulated cycle, forcing a lease timeout (0 = off). */
+    std::uint64_t stallCycle = 0;
+    unsigned stallMs = 0;
+    unsigned stallAttempt = 1;
+};
+
 /** Configuration of one serveSweep() invocation. */
 struct ServeOptions
 {
-    std::string socketPath;
     /** Artifact directory (records, checkpoints, worker logs);
-     *  required — the service is pointless without shared artifacts. */
+     *  required — the records are how children report results. */
     std::string artifactDir;
     std::uint64_t snapEvery = 0;
-    /** Scan artifactDir for finished records before leasing. */
-    bool resume = true;
-    /** Worker processes to spawn and supervise (0 = external only). */
-    unsigned spawnWorkers = 0;
-    /** argv[0] to exec for spawned workers ("" = /proc/self/exe). */
-    std::string exePath;
-    /** Extra CLI args appended to every spawned worker's `work`
-     *  command line (chaos flags in tests). */
-    std::vector<std::string> workerArgs;
+    /** Profile-library cache for sampled sweeps (see
+     *  exp::SweepRunOptions::profileCache). */
+    std::string profileCache;
+    /** Most child processes alive at once. */
+    unsigned spawnWorkers = 1;
     /** Aggregate JSON output path ("" = none). */
     std::string jsonPath;
     bool quiet = false;
     BrokerOptions broker;
+    WorkerChaos chaos;
 };
 
 /**
- * Serve @p spec (whose manifest text is @p manifestText, shipped
- * verbatim to workers) until every job is Done or Quarantined.
+ * Run every job of @p spec until each is Done or Quarantined. Records
+ * already in the artifact directory are resumed, never re-run.
  * @return the sweep exit code (quarantine folds in as
- * exit_code::quarantine, service infrastructure loss as svcFailure).
+ * exit_code::quarantine, a failed fork or pipe as svcFailure).
  */
-int serveSweep(const exp::SweepSpec &spec,
-               const std::string &manifestText,
-               const ServeOptions &options);
+int serveSweep(const exp::SweepSpec &spec, const ServeOptions &options);
 
 } // namespace sst::svc
 

@@ -106,6 +106,38 @@ TEST(FastForward, DifferentialCmp)
     }
 }
 
+/** And for a coherent chip, where a stall on a coherence-inflated
+ *  load must land in the same CPI bucket whether it is ticked or
+ *  skipped (core stats include the cpi_stack group). */
+TEST(FastForward, DifferentialCoherentCmp)
+{
+    WorkloadParams wp;
+    wp.lengthScale = 0.05;
+    MachineConfig mc = makePreset("rock16");
+    std::vector<Workload> w =
+        makeSharedWorkload("spinlock_counter", mc.cmpCores, wp);
+    std::vector<const Program *> programs;
+    for (const Workload &x : w)
+        programs.push_back(&x.program);
+
+    setFastForward(false);
+    Cmp naiveCmp(mc, programs);
+    CmpResult naive = naiveCmp.run();
+    setFastForward(true);
+    Cmp fastCmp(mc, programs);
+    CmpResult fast = fastCmp.run();
+    clearFastForwardOverride();
+
+    EXPECT_EQ(naive.cycles, fast.cycles);
+    EXPECT_EQ(naive.totalInsts, fast.totalInsts);
+    EXPECT_EQ(naive.finished, fast.finished);
+    for (unsigned i = 0; i < naive.cores; ++i) {
+        SCOPED_TRACE("core " + std::to_string(i));
+        expectStatsEqual(naiveCmp.core(i).stats().flatten(),
+                         fastCmp.core(i).stats().flatten());
+    }
+}
+
 /**
  * The wake-cycle contract, checked against the naive loop itself: after
  * a tick that retired nothing, no tick that starts before the reported

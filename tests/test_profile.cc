@@ -418,15 +418,32 @@ TEST(Profile, Ci95Math)
     EXPECT_EQ(r.ipcCi95(), 0.0);
 }
 
-TEST(Profile, CacheLookupNeedsResolvedStride)
+TEST(Profile, CacheLookupResolvesAutoStride)
 {
     Workload w = wl("hash_join");
     MachineConfig mc = makePreset("sst2");
     ProfileParams pp; // regionInsts = 0 (auto)
     std::string root = freshDir("stride");
     auto r = ensureProfileLibrary(mc, w.program, pp, root, 1);
-    EXPECT_FALSE(r.ok());
-    // In-memory build (no cache) may auto-resolve.
+    ASSERT_TRUE(r.ok()) << r.error().message;
+
+    // The counting pre-pass resolves the stride the same way a caller
+    // passing the hint of the exact dynamic length would, and the
+    // cache entry is keyed by that resolved stride.
+    MemoryImage image;
+    image.loadSegments(w.program);
+    Executor exec(w.program, image);
+    ArchState state;
+    std::uint64_t n = exec.run(state, pp.maxInsts);
+    ProfileParams resolved = pp;
+    resolved.regionInsts = profileRegionHint(n);
+    EXPECT_EQ(r.value().regionInsts, resolved.regionInsts);
+    EXPECT_TRUE(std::filesystem::exists(
+        profileCacheDir(root, mc, w.program, resolved, 1)
+        + "/library.manifest"));
+
+    // The in-memory build (no cache) resolves identically.
     auto mem = ensureProfileLibrary(mc, w.program, pp, "", 1);
-    EXPECT_TRUE(mem.ok()) << mem.error().message;
+    ASSERT_TRUE(mem.ok()) << mem.error().message;
+    EXPECT_EQ(mem.value().regionInsts, resolved.regionInsts);
 }

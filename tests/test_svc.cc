@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for the experiment service (src/svc): the wire protocol's
- * round-trip fidelity (records must survive transport byte-exact),
- * the line reader's reassembly across arbitrary read boundaries, and
- * — the bulk — the broker state machine driven with a manual clock:
- * lease grant order, heartbeat extension, timeout reclaim with
- * exponential backoff, quarantine after the attempt budget, worker
- * death, late/duplicate results, and invalid-record rejection. The
- * broker takes every timestamp as a parameter precisely so these
- * tests never sleep.
+ * Tests for the experiment service (src/svc), mostly of the broker
+ * state machine driven with a manual clock: lease grant order,
+ * heartbeat extension, timeout reclaim with exponential backoff,
+ * quarantine after the attempt budget, worker death, late/duplicate
+ * results, and invalid-record rejection. The broker takes every
+ * timestamp as a parameter precisely so these tests never sleep. The
+ * supervisor that forks the workers is covered end to end by
+ * scripts/chaos_smoke.sh and scripts/supervisor_faults.sh.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +19,6 @@
 #include <string>
 #include <vector>
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "common/logging.hh"
 #include "common/result.hh"
 #include "exp/json.hh"
@@ -30,141 +26,9 @@
 #include "exp/sweep.hh"
 #include "fault/chaos.hh"
 #include "svc/broker.hh"
-#include "svc/channel.hh"
-#include "svc/proto.hh"
 
 using namespace sst;
 using namespace sst::svc;
-
-// ---------------------------------------------------------------- proto
-
-TEST(SvcProto, WorkerLinesRoundTrip)
-{
-    auto hello = parseMessage(helloLine("w3", 1234));
-    ASSERT_TRUE(hello.ok()) << hello.error().message;
-    EXPECT_EQ(hello.value().type, "hello");
-    EXPECT_EQ(hello.value().worker, "w3");
-    EXPECT_EQ(hello.value().pid, 1234);
-
-    auto hb = parseMessage(heartbeatLine(7, 123456789ULL));
-    ASSERT_TRUE(hb.ok());
-    EXPECT_EQ(hb.value().type, "heartbeat");
-    EXPECT_EQ(hb.value().job, 7u);
-    EXPECT_EQ(hb.value().cycle, 123456789ULL);
-
-    auto fail = parseMessage(failLine(2, "machine said \"no\"\n"));
-    ASSERT_TRUE(fail.ok());
-    EXPECT_EQ(fail.value().job, 2u);
-    EXPECT_EQ(fail.value().error, "machine said \"no\"\n");
-
-    EXPECT_EQ(parseMessage(leaseReqLine()).value().type, "lease_req");
-    EXPECT_EQ(parseMessage(goodbyeLine()).value().type, "goodbye");
-}
-
-TEST(SvcProto, RecordSurvivesTransportByteExact)
-{
-    // The aggregate sweep JSON is byte-compared against sequential
-    // runs, so the record must cross the socket without any
-    // re-serialisation drift: embedded quotes, newlines, backslashes,
-    // non-ASCII bytes and trailing whitespace all must survive.
-    const std::string record =
-        "{\"index\": 3, \"log\": \"warn: \\\"quoted\\\"\\nline2\\t\","
-        " \"path\": \"C:\\\\tmp\", \"utf8\": \"\xc3\xa9\"}\n";
-    auto m = parseMessage(resultLine(9, record));
-    ASSERT_TRUE(m.ok()) << m.error().message;
-    EXPECT_EQ(m.value().type, "result");
-    EXPECT_EQ(m.value().job, 9u);
-    EXPECT_EQ(m.value().record, record);
-}
-
-TEST(SvcProto, WelcomeCarriesManifestAndMatchingHash)
-{
-    const std::string manifest =
-        "preset = sst2\nworkload = stream\n# comment\n";
-    auto m = parseMessage(welcomeLine(manifest, "/tmp/arts", 5000, true));
-    ASSERT_TRUE(m.ok()) << m.error().message;
-    EXPECT_EQ(m.value().type, "welcome");
-    EXPECT_EQ(m.value().manifest, manifest);
-    EXPECT_EQ(m.value().manifestHash, manifestHash(manifest));
-    EXPECT_EQ(m.value().artifactDir, "/tmp/arts");
-    EXPECT_EQ(m.value().snapEvery, 5000u);
-    EXPECT_TRUE(m.value().resume);
-    // The hash is a pure function of the text: one byte flips it.
-    EXPECT_NE(manifestHash(manifest), manifestHash(manifest + " "));
-    EXPECT_EQ(manifestHash(manifest).size(), 16u);
-}
-
-TEST(SvcProto, BrokerLinesRoundTrip)
-{
-    auto lease = parseMessage(leaseLine(11, 2));
-    ASSERT_TRUE(lease.ok());
-    EXPECT_EQ(lease.value().type, "lease");
-    EXPECT_EQ(lease.value().job, 11u);
-    EXPECT_EQ(lease.value().attempt, 2u);
-
-    auto wait = parseMessage(waitLine(750));
-    ASSERT_TRUE(wait.ok());
-    EXPECT_EQ(wait.value().waitMs, 750u);
-
-    EXPECT_EQ(parseMessage(doneLine()).value().type, "done");
-    auto err = parseMessage(errorLine("bad client"));
-    ASSERT_TRUE(err.ok());
-    EXPECT_EQ(err.value().type, "error");
-    EXPECT_EQ(err.value().error, "bad client");
-}
-
-TEST(SvcProto, RejectsGarbageAndTypelessMessages)
-{
-    EXPECT_FALSE(parseMessage("not json at all").ok());
-    EXPECT_FALSE(parseMessage("{\"job\": 1}").ok());
-    EXPECT_FALSE(parseMessage("[1, 2, 3]").ok());
-    EXPECT_FALSE(parseMessage("{\"type\": 42}").ok());
-}
-
-// -------------------------------------------------------------- channel
-
-TEST(SvcChannel, LineReaderReassemblesAcrossReadBoundaries)
-{
-    int sv[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    LineReader reader(sv[0]);
-
-    // One blocking line split across two writes.
-    ASSERT_TRUE(::write(sv[1], "hel", 3) == 3);
-    ASSERT_TRUE(::write(sv[1], "lo\nwor", 6) == 6);
-    auto line = reader.readLine();
-    ASSERT_TRUE(line.ok()) << line.error().message;
-    EXPECT_EQ(line.value(), "hello");
-
-    // The tail of the second write plus two more lines arrive in one
-    // burst; drain (which needs the broker's non-blocking fd mode)
-    // must hand all complete lines back at once.
-    ASSERT_TRUE(setNonBlocking(sv[0]).ok());
-    ASSERT_TRUE(::write(sv[1], "ld\nlast\n", 8) == 8);
-    std::vector<std::string> lines;
-    EXPECT_TRUE(reader.drain(lines));
-    EXPECT_EQ(lines, (std::vector<std::string>{"world", "last"}));
-
-    // Peer hangup: drain reports the connection closed.
-    ::close(sv[1]);
-    lines.clear();
-    EXPECT_FALSE(reader.drain(lines));
-    EXPECT_TRUE(lines.empty());
-    ::close(sv[0]);
-}
-
-TEST(SvcChannel, SendLineAppendsNewline)
-{
-    int sv[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    ASSERT_TRUE(sendLine(sv[0], "{\"type\": \"goodbye\"}").ok());
-    char buf[64] = {};
-    ssize_t n = ::read(sv[1], buf, sizeof(buf));
-    EXPECT_EQ(std::string(buf, static_cast<std::size_t>(n)),
-              "{\"type\": \"goodbye\"}\n");
-    ::close(sv[0]);
-    ::close(sv[1]);
-}
 
 // --------------------------------------------------------------- broker
 

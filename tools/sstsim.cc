@@ -57,19 +57,12 @@
  * for every -j (see docs/INTERNALS.md, "The experiment runner").
  * --resume skips jobs whose record artifact already exists in DIR and
  * restarts in-flight jobs from their last machine checkpoint.
- * --distributed N runs the same sweep as a crash-safe service instead:
- * a broker leases jobs to N supervised worker *processes* (respawned
- * if they die, retried with backoff, quarantined if poisonous) with
+ * --distributed N runs the same sweep as a crash-safe supervisor
+ * instead: each job runs in its own forked child process, at most N at
+ * a time (a child that dies is retried with backoff and resumed from
+ * its checkpoint; a job that kills every attempt is quarantined), with
  * byte-identical aggregate output (docs/INTERNALS.md, "The experiment
  * service").
- *
- * Service mode (sharded experiment service, src/svc):
- *   sstsim serve <manifest> --socket PATH --artifacts DIR [--workers N]
- *   sstsim work --socket PATH [--name NAME]
- * splits the broker and workers across processes: serve owns the
- * manifest and leases jobs over a Unix socket; any number of work
- * processes join, run jobs, stream records back and heartbeat their
- * leases. Workers may join or die mid-sweep.
  *
  * Diff mode (lockstep divergence search, src/snap):
  *   sstsim diff <preset> <workload> [--stride N] [--out PREFIX]
@@ -104,8 +97,8 @@
  * Exit codes: 0 success, 2 architectural mismatch vs golden, 3 cycle
  * budget exhausted, 4 livelock declared by the watchdog, 5 state
  * divergence found by diff mode, 6 sweep finished with quarantined
- * jobs, 7 experiment-service infrastructure failure (socket lost,
- * worker pool exhausted), 64 bad usage (unknown/malformed key),
+ * jobs, 7 experiment-service infrastructure failure (a failed fork or
+ * pipe), 64 bad usage (unknown/malformed key),
  * 65 bad input (config value, asm, workload).
  */
 
@@ -136,7 +129,6 @@
 #include "snap/diff.hh"
 #include "snap/snap.hh"
 #include "svc/server.hh"
-#include "svc/worker.hh"
 #include "trace/chrome.hh"
 #include "trace/cpistack.hh"
 #include "trace/trace.hh"
@@ -301,7 +293,6 @@ sweepMain(int argc, char **argv)
     std::string manifest;
     std::string jsonPath;
     std::string artifactDir;
-    std::string socketPath;
     std::string profileCache;
     std::uint64_t snapEvery = 0;
     unsigned jobs = 1;
@@ -309,10 +300,10 @@ sweepMain(int argc, char **argv)
     bool quiet = false;
     bool forceVerify = false;
     svc::BrokerOptions brokerOpts;
-    std::vector<std::string> workerArgs;
+    svc::WorkerChaos chaos;
 
-    // Service flags that take one integer operand and are forwarded /
-    // applied verbatim; parsed generically to keep the loop readable.
+    // Service flags that take one integer operand; parsed generically
+    // to keep the loop readable.
     auto uintFlag = [&](const std::string &arg, int &i,
                         std::uint64_t &out, bool allowZero = false) {
         if (i + 1 >= argc)
@@ -332,11 +323,6 @@ sweepMain(int argc, char **argv)
             if (auto r = uintFlag(arg, i, tmp); !r.ok())
                 return fail(r.error());
             distributed = static_cast<unsigned>(tmp);
-        } else if (arg == "--socket") {
-            if (++i >= argc)
-                return fail(Error{"--socket needs a path",
-                                  exit_code::usage});
-            socketPath = argv[i];
         } else if (arg == "--lease-timeout-ms") {
             if (auto r = uintFlag(arg, i, brokerOpts.leaseTimeoutMs);
                 !r.ok())
@@ -353,17 +339,21 @@ sweepMain(int argc, char **argv)
             if (auto r = uintFlag(arg, i, brokerOpts.backoffMaxMs);
                 !r.ok())
                 return fail(r.error());
-        } else if (arg == "--chaos-kill-cycle"
-                   || arg == "--chaos-kill-attempt"
-                   || arg == "--chaos-stall-cycle"
-                   || arg == "--chaos-stall-ms"
+        } else if (arg == "--chaos-kill-cycle") {
+            if (auto r = uintFlag(arg, i, chaos.killCycle); !r.ok())
+                return fail(r.error());
+        } else if (arg == "--chaos-stall-cycle") {
+            if (auto r = uintFlag(arg, i, chaos.stallCycle); !r.ok())
+                return fail(r.error());
+        } else if (arg == "--chaos-kill-attempt"
                    || arg == "--chaos-stall-attempt"
-                   || arg == "--heartbeat-ms") {
-            // Validated here, executed by the spawned workers.
+                   || arg == "--chaos-stall-ms") {
             if (auto r = uintFlag(arg, i, tmp); !r.ok())
                 return fail(r.error());
-            workerArgs.push_back(arg);
-            workerArgs.push_back(argv[i]);
+            (arg == "--chaos-kill-attempt"    ? chaos.killAttempt
+             : arg == "--chaos-stall-attempt" ? chaos.stallAttempt
+                                              : chaos.stallMs) =
+                static_cast<unsigned>(tmp);
         } else if (arg == "--resume") {
             if (++i >= argc)
                 return fail(Error{"--resume needs an artifact directory",
@@ -416,7 +406,7 @@ sweepMain(int argc, char **argv)
                                   + "' (know -j, --json, --verify, "
                                     "--quiet, --resume, --snap-every, "
                                     "--profile-cache, "
-                                    "--distributed, --socket, "
+                                    "--distributed, "
                                     "--lease-timeout-ms, "
                                     "--max-attempts, --backoff-base-ms, "
                                     "--backoff-max-ms, --chaos-*)",
@@ -444,49 +434,6 @@ sweepMain(int argc, char **argv)
         return fail(parsed.error());
     exp::SweepSpec spec = parsed.take();
 
-    if (distributed) {
-        // The broker ships the manifest *text* to workers, which
-        // re-parse it locally; CLI-side spec mutations would silently
-        // not propagate, so verify must come from the manifest.
-        if (forceVerify)
-            return fail(
-                Error{"--verify cannot combine with --distributed; "
-                      "set 'sweep.verify = true' in the manifest",
-                      exit_code::usage});
-        if (!profileCache.empty())
-            return fail(
-                Error{"--profile-cache cannot combine with "
-                      "--distributed; workers share "
-                      "'<artifacts>/profile-cache' by default (or set "
-                      "'sweep.profile_cache' in the manifest)",
-                      exit_code::usage});
-        if (artifactDir.empty())
-            return fail(Error{"--distributed needs --resume DIR (the "
-                              "workers share artifacts there)",
-                              exit_code::usage});
-        std::ifstream in(manifest);
-        std::stringstream ss;
-        ss << in.rdbuf();
-
-        svc::ServeOptions so;
-        so.socketPath = socketPath.empty()
-                            ? artifactDir + "/broker.sock"
-                            : socketPath;
-        so.artifactDir = artifactDir;
-        so.snapEvery = snapEvery;
-        so.resume = true;
-        so.spawnWorkers = distributed;
-        so.workerArgs = workerArgs;
-        so.jsonPath = jsonPath;
-        so.quiet = quiet;
-        so.broker = brokerOpts;
-        if (!quiet)
-            std::printf("sweep '%s': %zu jobs distributed over %u "
-                        "workers (socket %s)\n",
-                        spec.name.c_str(), spec.jobCount(), distributed,
-                        so.socketPath.c_str());
-        return svc::serveSweep(spec, ss.str(), so);
-    }
     if (forceVerify) {
         if (spec.sample)
             return fail(Error{"--verify cannot combine with a sampled "
@@ -495,6 +442,28 @@ sweepMain(int argc, char **argv)
                               "state)",
                               exit_code::usage});
         spec.verifyGolden = true;
+    }
+
+    if (distributed) {
+        if (artifactDir.empty())
+            return fail(Error{"--distributed needs --resume DIR (the "
+                              "job records are written there)",
+                              exit_code::usage});
+        svc::ServeOptions so;
+        so.artifactDir = artifactDir;
+        so.snapEvery = snapEvery;
+        so.profileCache = profileCache;
+        so.spawnWorkers = distributed;
+        so.jsonPath = jsonPath;
+        so.quiet = quiet;
+        so.broker = brokerOpts;
+        so.chaos = chaos;
+        if (!quiet)
+            std::printf("sweep '%s': %zu jobs on up to %u worker "
+                        "processes%s\n",
+                        spec.name.c_str(), spec.jobCount(), distributed,
+                        spec.verifyGolden ? " (golden verify on)" : "");
+        return svc::serveSweep(spec, so);
     }
 
     exp::SweepRunOptions options;
@@ -554,170 +523,6 @@ sweepMain(int argc, char **argv)
                              out.error.c_str());
     }
     return code;
-}
-
-/**
- * `sstsim serve <manifest> --socket PATH --artifacts DIR
- *  [--snap-every N] [--json FILE] [--workers N] [--lease-timeout-ms N]
- *  [--max-attempts N] [--backoff-base-ms N] [--backoff-max-ms N]
- *  [--quiet]`
- * — run the sweep broker: lease the manifest's jobs to workers
- * (`sstsim work`) over a Unix socket. --workers N additionally spawns
- * and supervises N local workers (like sweep --distributed N).
- */
-int
-serveMain(int argc, char **argv)
-{
-    std::string manifest;
-    svc::ServeOptions so;
-    std::uint64_t tmp = 0;
-
-    auto uintFlag = [&](const std::string &arg, int &i,
-                        std::uint64_t &out) {
-        if (i + 1 >= argc)
-            return Result<bool>(
-                Error{arg + " needs a value", exit_code::usage});
-        auto n = parseCount(arg.c_str(), argv[++i]);
-        if (!n.ok())
-            return Result<bool>(n.error());
-        out = n.value();
-        return Result<bool>(true);
-    };
-
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--socket" || arg == "--artifacts"
-            || arg == "--json") {
-            if (++i >= argc)
-                return fail(
-                    Error{arg + " needs a path", exit_code::usage});
-            (arg == "--socket"      ? so.socketPath
-             : arg == "--artifacts" ? so.artifactDir
-                                    : so.jsonPath) = argv[i];
-        } else if (arg == "--snap-every") {
-            if (auto r = uintFlag(arg, i, so.snapEvery); !r.ok())
-                return fail(r.error());
-        } else if (arg == "--workers") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            so.spawnWorkers = static_cast<unsigned>(tmp);
-        } else if (arg == "--lease-timeout-ms") {
-            if (auto r = uintFlag(arg, i, so.broker.leaseTimeoutMs);
-                !r.ok())
-                return fail(r.error());
-        } else if (arg == "--max-attempts") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            so.broker.maxAttempts = static_cast<unsigned>(tmp);
-        } else if (arg == "--backoff-base-ms") {
-            if (auto r = uintFlag(arg, i, so.broker.backoffBaseMs);
-                !r.ok())
-                return fail(r.error());
-        } else if (arg == "--backoff-max-ms") {
-            if (auto r = uintFlag(arg, i, so.broker.backoffMaxMs);
-                !r.ok())
-                return fail(r.error());
-        } else if (arg == "--quiet") {
-            so.quiet = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return fail(Error{"unknown serve option '" + arg + "'",
-                              exit_code::usage});
-        } else if (manifest.empty()) {
-            manifest = arg;
-        } else {
-            return fail(Error{"more than one manifest given",
-                              exit_code::usage});
-        }
-    }
-    if (manifest.empty() || so.socketPath.empty()
-        || so.artifactDir.empty())
-        return fail(Error{"usage: sstsim serve <manifest> --socket "
-                          "PATH --artifacts DIR [--workers N] "
-                          "[--snap-every N] [--json FILE] [--quiet] "
-                          "[--lease-timeout-ms N] [--max-attempts N] "
-                          "[--backoff-base-ms N] [--backoff-max-ms N]",
-                          exit_code::usage});
-
-    std::ifstream in(manifest);
-    if (!in)
-        return fail(Error{"cannot open '" + manifest + "'",
-                          exit_code::badInput});
-    std::stringstream ss;
-    ss << in.rdbuf();
-    auto parsed = exp::SweepSpec::parse(ss.str(), manifest);
-    if (!parsed.ok())
-        return fail(parsed.error());
-    return svc::serveSweep(parsed.value(), ss.str(), so);
-}
-
-/**
- * `sstsim work --socket PATH [--name NAME] [--heartbeat-ms N]
- *  [--chaos-kill-cycle N] [--chaos-kill-attempt N]
- *  [--chaos-stall-cycle N] [--chaos-stall-ms N]
- *  [--chaos-stall-attempt N]`
- * — join a running broker as one worker process. The chaos flags
- * deterministically kill/stall this worker at a simulated cycle of a
- * leased job (test hooks; see fault/chaos.hh).
- */
-int
-workMain(int argc, char **argv)
-{
-    svc::WorkerOptions wo;
-    std::uint64_t tmp = 0;
-
-    auto uintFlag = [&](const std::string &arg, int &i,
-                        std::uint64_t &out) {
-        if (i + 1 >= argc)
-            return Result<bool>(
-                Error{arg + " needs a value", exit_code::usage});
-        auto n = parseCount(arg.c_str(), argv[++i]);
-        if (!n.ok())
-            return Result<bool>(n.error());
-        out = n.value();
-        return Result<bool>(true);
-    };
-
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--socket" || arg == "--name") {
-            if (++i >= argc)
-                return fail(
-                    Error{arg + " needs a value", exit_code::usage});
-            (arg == "--socket" ? wo.socketPath : wo.name) = argv[i];
-        } else if (arg == "--heartbeat-ms") {
-            if (auto r = uintFlag(arg, i, wo.heartbeatMs); !r.ok())
-                return fail(r.error());
-        } else if (arg == "--chaos-kill-cycle") {
-            if (auto r = uintFlag(arg, i, wo.chaosKillCycle); !r.ok())
-                return fail(r.error());
-        } else if (arg == "--chaos-kill-attempt") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            wo.chaosKillAttempt = static_cast<unsigned>(tmp);
-        } else if (arg == "--chaos-stall-cycle") {
-            if (auto r = uintFlag(arg, i, wo.chaosStallCycle); !r.ok())
-                return fail(r.error());
-        } else if (arg == "--chaos-stall-ms") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            wo.chaosStallMs = static_cast<unsigned>(tmp);
-        } else if (arg == "--chaos-stall-attempt") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            wo.chaosStallAttempt = static_cast<unsigned>(tmp);
-        } else {
-            return fail(Error{"unknown work option '" + arg
-                                  + "' (usage: sstsim work --socket "
-                                    "PATH [--name NAME] "
-                                    "[--heartbeat-ms N] [--chaos-*])",
-                              exit_code::usage});
-        }
-    }
-    if (wo.socketPath.empty())
-        return fail(Error{"usage: sstsim work --socket PATH "
-                          "[--name NAME] [--heartbeat-ms N] [--chaos-*]",
-                          exit_code::usage});
-    return svc::runWorker(wo);
 }
 
 /**
@@ -1295,28 +1100,13 @@ profileMain(int argc, char **argv)
     }
     MachineConfig mc = made.take();
 
-    if (pp.regionInsts == 0) {
-        // Resolve the auto stride here (it is part of the cache key):
-        // one functional counting pass, then the same hint sampled
-        // sweeps use.
-        MemoryImage countMem;
-        countMem.loadSegments(program);
-        Executor counter(program, countMem);
-        ArchState countState;
-        std::uint64_t n = counter.run(countState, pp.maxInsts);
-        if (!countState.halted)
-            return fail(Error{"program does not halt functionally "
-                              "within the profiling budget",
-                              exit_code::badInput});
-        pp.regionInsts = profileRegionHint(n);
-    }
-
     std::uint64_t configHash = memConfigHash(mc, cfg);
     auto built =
         ensureProfileLibrary(mc, program, pp, cacheDir, configHash);
     if (!built.ok())
         return fail(built.error());
     const ProfileLibrary &lib = built.value();
+    pp.regionInsts = lib.regionInsts; // the resolved stride keys the cache
 
     std::size_t selected = 0;
     for (const auto &r : lib.regions)
@@ -1350,10 +1140,6 @@ main(int argc, char **argv)
         return profileMain(argc, argv);
     if (argc >= 2 && std::string(argv[1]) == "sweep")
         return sweepMain(argc, argv);
-    if (argc >= 2 && std::string(argv[1]) == "serve")
-        return serveMain(argc, argv);
-    if (argc >= 2 && std::string(argv[1]) == "work")
-        return workMain(argc, argv);
     if (argc >= 2 && std::string(argv[1]) == "cmp")
         return cmpMain(argc, argv);
     if (argc >= 2 && std::string(argv[1]) == "trace")
@@ -1413,21 +1199,7 @@ main(int argc, char **argv)
             ProfileParams pp;
             pp.maxRegions = static_cast<unsigned>(
                 cfg.getUint("regions", 8));
-            if (regionInsts) {
-                pp.regionInsts = regionInsts;
-            } else {
-                MemoryImage countMem;
-                countMem.loadSegments(program);
-                Executor counter(program, countMem);
-                ArchState countState;
-                std::uint64_t n =
-                    counter.run(countState, 2'000'000'000ULL);
-                if (!countState.halted)
-                    return fail(
-                        Error{"program does not halt functionally",
-                              exit_code::badInput});
-                pp.regionInsts = profileRegionHint(n);
-            }
+            pp.regionInsts = regionInsts;
             std::uint64_t configHash = memConfigHash(mc, cfg);
             auto library = ensureProfileLibrary(mc, program, pp,
                                                 cacheDir, configHash);
