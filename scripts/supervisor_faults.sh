@@ -7,7 +7,8 @@
 #           attempt of its jobs: the sweep must exit 6 (quarantine),
 #           name the failure in a ran=false record for each of them, and
 #           leave every other record byte-identical to a sequential
-#           sweep's.
+#           sweep's; with --quiet it must still exit 6 and print no
+#           info: line.
 #   stall   each job's first attempt stalls (heartbeats muted) for
 #           longer than the lease timeout: the scoreboard must count
 #           timeouts, and the aggregate JSON must still be byte-identical
@@ -77,7 +78,19 @@ EOF
         kept=$((kept + 1))
     done
     [ "$kept" -eq 3 ] || die "$kept finished records, want 3"
-    echo "OK (poison): exit 6, 3 quarantined, 3 records byte-identical"
+
+    # --quiet silences the per-child status lines; only the quarantine
+    # warnings (stderr) remain to explain the exit code.
+    code=0
+    "$SSTSIM" sweep "$dir/poison.cfg" --distributed 2 --quiet \
+        --resume "$dir/quiet" --max-attempts 2 --backoff-base-ms 20 \
+        > "$dir/quiet.out" 2> "$dir/quiet.err" || code=$?
+    [ "$code" -eq 6 ] || die "--quiet exit code $code, want 6"
+    if grep -q "info:" "$dir/quiet.out" "$dir/quiet.err"; then
+        die "--quiet run printed info: lines"
+    fi
+    echo "OK (poison): exit 6, 3 quarantined, 3 records byte-identical," \
+        "--quiet prints no info: lines"
 }
 
 stall() {

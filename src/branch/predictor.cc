@@ -247,121 +247,54 @@ namespace
 {
 
 void
-saveByteTable(snap::Writer &w, const std::vector<std::uint8_t> &table)
+byteTableIo(snap::Archive &ar, std::vector<std::uint8_t> &table)
 {
-    w.u32(static_cast<std::uint32_t>(table.size()));
-    w.bytes(table.data(), table.size());
-}
-
-void
-loadByteTable(snap::Reader &r, std::vector<std::uint8_t> &table)
-{
-    std::uint32_t n = r.u32();
-    fatal_if(n != table.size(),
-             "snapshot: predictor table has %u entries, expected %zu "
-             "(configuration mismatch)",
-             n, table.size());
-    r.bytes(table.data(), table.size());
+    ar.check(table.size(), "predictor table entry count");
+    ar.bytes(table.data(), table.size());
 }
 
 } // namespace
 
 void
-BimodalPredictor::save(snap::Writer &w) const
+BimodalPredictor::io(snap::Archive &ar)
 {
-    saveByteTable(w, table_);
+    byteTableIo(ar, table_);
 }
 
 void
-BimodalPredictor::load(snap::Reader &r)
+GsharePredictor::io(snap::Archive &ar)
 {
-    loadByteTable(r, table_);
+    byteTableIo(ar, table_);
+    ar.u64(history_[0]);
+    ar.u64(history_[1]);
+    ar.u32(strand_);
 }
 
 void
-GsharePredictor::save(snap::Writer &w) const
+TournamentPredictor::io(snap::Archive &ar)
 {
-    saveByteTable(w, table_);
-    w.u64(history_[0]);
-    w.u64(history_[1]);
-    w.u32(strand_);
+    bimodal_.io(ar);
+    gshare_.io(ar);
+    byteTableIo(ar, chooser_);
+    ar.b(lastBimodal_);
+    ar.b(lastGshare_);
 }
 
 void
-GsharePredictor::load(snap::Reader &r)
+Btb::io(snap::Archive &ar)
 {
-    loadByteTable(r, table_);
-    history_[0] = r.u64();
-    history_[1] = r.u64();
-    strand_ = r.u32();
+    ar.fixed(entries_, "BTB entry count", [&](Entry &e) {
+        ar.u64(e.tag);
+        ar.u64(e.target);
+    });
 }
 
 void
-TournamentPredictor::save(snap::Writer &w) const
+ReturnAddressStack::io(snap::Archive &ar)
 {
-    bimodal_.save(w);
-    gshare_.save(w);
-    saveByteTable(w, chooser_);
-    w.b(lastBimodal_);
-    w.b(lastGshare_);
-}
-
-void
-TournamentPredictor::load(snap::Reader &r)
-{
-    bimodal_.load(r);
-    gshare_.load(r);
-    loadByteTable(r, chooser_);
-    lastBimodal_ = r.b();
-    lastGshare_ = r.b();
-}
-
-void
-Btb::save(snap::Writer &w) const
-{
-    w.u32(static_cast<std::uint32_t>(entries_.size()));
-    for (const Entry &e : entries_) {
-        w.u64(e.tag);
-        w.u64(e.target);
-    }
-}
-
-void
-Btb::load(snap::Reader &r)
-{
-    std::uint32_t n = r.u32();
-    fatal_if(n != entries_.size(),
-             "snapshot: BTB has %u entries, expected %zu "
-             "(configuration mismatch)",
-             n, entries_.size());
-    for (Entry &e : entries_) {
-        e.tag = r.u64();
-        e.target = r.u64();
-    }
-}
-
-void
-ReturnAddressStack::save(snap::Writer &w) const
-{
-    w.u32(static_cast<std::uint32_t>(stack_.size()));
-    for (std::uint64_t v : stack_)
-        w.u64(v);
-    w.u32(top_);
-    w.u32(count_);
-}
-
-void
-ReturnAddressStack::load(snap::Reader &r)
-{
-    std::uint32_t n = r.u32();
-    fatal_if(n != stack_.size(),
-             "snapshot: RAS depth %u, expected %zu (configuration "
-             "mismatch)",
-             n, stack_.size());
-    for (std::uint64_t &v : stack_)
-        v = r.u64();
-    top_ = r.u32();
-    count_ = r.u32();
+    ar.fixed(stack_, "RAS depth", [&](std::uint64_t &v) { ar.u64(v); });
+    ar.u32(top_);
+    ar.u32(count_);
 }
 
 } // namespace sst

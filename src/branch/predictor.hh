@@ -26,8 +26,7 @@ namespace sst
 
 namespace snap
 {
-class Writer;
-class Reader;
+class Archive;
 } // namespace snap
 
 /** Direction predictor interface. PCs are instruction indices. */
@@ -36,10 +35,9 @@ class BranchPredictor
   public:
     virtual ~BranchPredictor() = default;
 
-    /** Serialize tables + history. load() assumes a predictor of the
+    /** Serialize tables + history. Loading assumes a predictor of the
      *  same kind and geometry (configuration is not serialized). */
-    virtual void save(snap::Writer &) const {}
-    virtual void load(snap::Reader &) {}
+    virtual void io(snap::Archive &) {}
 
     /** Predict the direction of the branch at @p pc. */
     virtual bool predict(std::uint64_t pc) = 0;
@@ -120,8 +118,7 @@ class BimodalPredictor : public BranchPredictor
     void update(std::uint64_t pc, bool taken) override;
     const char *name() const override { return "bimodal"; }
 
-    void save(snap::Writer &w) const override;
-    void load(snap::Reader &r) override;
+    void io(snap::Archive &ar) override;
 
   private:
     unsigned index(std::uint64_t pc) const;
@@ -163,8 +160,7 @@ class GsharePredictor : public BranchPredictor
     }
     const char *name() const override { return "gshare"; }
 
-    void save(snap::Writer &w) const override;
-    void load(snap::Reader &r) override;
+    void io(snap::Archive &ar) override;
 
   private:
     unsigned index(std::uint64_t pc) const;
@@ -197,8 +193,7 @@ class TournamentPredictor : public BranchPredictor
     }
     const char *name() const override { return "tournament"; }
 
-    void save(snap::Writer &w) const override;
-    void load(snap::Reader &r) override;
+    void io(snap::Archive &ar) override;
 
   private:
     BimodalPredictor bimodal_;
@@ -236,8 +231,7 @@ class Btb
 
     static constexpr std::uint64_t invalidTarget = ~std::uint64_t{0};
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     struct Entry
@@ -265,8 +259,7 @@ class ReturnAddressStack
 
     static constexpr std::uint64_t invalidTarget = ~std::uint64_t{0};
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     std::vector<std::uint64_t> stack_;

@@ -152,35 +152,16 @@ ValuePredictor::reset()
 }
 
 void
-ValuePredictor::save(snap::Writer &w) const
+ValuePredictor::io(snap::Archive &ar)
 {
-    w.u32(static_cast<std::uint32_t>(table_.size()));
-    for (const Entry &e : table_) {
-        w.u64(e.tag);
-        w.u64(e.lastValue);
-        w.u64(static_cast<std::uint64_t>(e.stride));
-        w.u32(e.tipDistance);
-        w.u8(e.confidence);
-        w.u8(e.needAnchor ? 1 : 0);
-    }
-}
-
-void
-ValuePredictor::load(snap::Reader &r)
-{
-    std::uint32_t n = r.u32();
-    fatal_if(n != table_.size(),
-             "snapshot: value-predictor table has %u entries, expected "
-             "%zu (configuration mismatch)",
-             n, table_.size());
-    for (Entry &e : table_) {
-        e.tag = r.u64();
-        e.lastValue = r.u64();
-        e.stride = static_cast<std::int64_t>(r.u64());
-        e.tipDistance = r.u32();
-        e.confidence = r.u8();
-        e.needAnchor = r.u8() != 0;
-    }
+    ar.fixed(table_, "value-predictor table entry count", [&](Entry &e) {
+        ar.u64(e.tag);
+        ar.u64(e.lastValue);
+        ar.u64(e.stride);
+        ar.u32(e.tipDistance);
+        ar.u8(e.confidence);
+        ar.b(e.needAnchor);
+    });
 }
 
 } // namespace sst

@@ -58,8 +58,7 @@ namespace sst
 
 namespace snap
 {
-class Writer;
-class Reader;
+class Archive;
 } // namespace snap
 
 /** Prediction scheme selected by core.value_pred. */
@@ -134,8 +133,7 @@ class ValuePredictor
 
     void reset();
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     struct Entry

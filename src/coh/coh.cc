@@ -1,8 +1,6 @@
 #include "coh/coh.hh"
 
-#include <algorithm>
 #include <bit>
-#include <vector>
 
 #include "common/logging.hh"
 #include "snap/snap.hh"
@@ -108,47 +106,16 @@ Directory::lineState(Addr line) const
 }
 
 void
-Directory::save(snap::Writer &w) const
+Directory::io(snap::Archive &ar)
 {
-    w.tag("coh-dir");
-    std::vector<Addr> keys;
-    keys.reserve(lines_.size());
-    for (const auto &kv : lines_)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (Addr key : keys) {
-        const CohLine &st = lines_.at(key);
-        w.u64(key);
-        w.u64(st.sharers);
-        w.i32(st.owner);
-    }
-    w.u64(invalidations_);
-    w.u64(interventions_);
-    w.u64(upgrades_);
-}
-
-void
-Directory::load(snap::Reader &r)
-{
-    r.tag("coh-dir");
-    lines_.clear();
-    std::uint64_t n = r.u64();
-    lines_.reserve(n); // one rehash, not log2(n) incremental ones
-    Addr prev = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Addr key = r.u64();
-        fatal_if(i > 0 && key <= prev,
-                 "snapshot: directory lines out of order");
-        prev = key;
-        CohLine st;
-        st.sharers = r.u64();
-        st.owner = r.i32();
-        lines_.emplace(key, st);
-    }
-    invalidations_ = r.u64();
-    interventions_ = r.u64();
-    upgrades_ = r.u64();
+    ar.tag("coh-dir");
+    ar.sortedMap<std::uint64_t>(lines_, "directory line", [&](CohLine &st) {
+        ar.u64(st.sharers);
+        ar.i32(st.owner);
+    });
+    ar.u64(invalidations_);
+    ar.u64(interventions_);
+    ar.u64(upgrades_);
 }
 
 } // namespace sst

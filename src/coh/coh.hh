@@ -34,8 +34,7 @@ namespace sst
 
 namespace snap
 {
-class Writer;
-class Reader;
+class Archive;
 } // namespace snap
 
 /** Coherence knobs; disabled by default (private salted windows). */
@@ -119,8 +118,7 @@ class Directory
     std::size_t trackedLines() const { return lines_.size(); }
 
     /** Serialized sorted by line address: byte-stable across runs. */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     const CohParams params_;

@@ -18,8 +18,7 @@ namespace sst
 
 namespace snap
 {
-class Writer;
-class Reader;
+class Archive;
 } // namespace snap
 
 /**
@@ -86,8 +85,7 @@ class Rng
     std::uint64_t zipf(std::uint64_t n, double s);
 
     /** Serialize the generator state mid-stream (defined in src/snap/). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     std::uint64_t state_[4];

@@ -21,8 +21,7 @@ namespace sst
 
 namespace snap
 {
-class Writer;
-class Reader;
+class Archive;
 } // namespace snap
 
 /** Escape @p s for inclusion in a JSON string literal (no quotes). */
@@ -89,8 +88,7 @@ class Distribution
 
     /** Serialize counts only; bucket geometry must already match (it is
      *  configuration, re-established by init()). Defined in src/snap/. */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     std::vector<std::uint64_t> buckets_;
@@ -158,13 +156,12 @@ class StatGroup
 
     /**
      * Serialize all scalar and distribution *values* (recursively, with
-     * names for validation); formulas are derived and skipped. load()
+     * names for validation); formulas are derived and skipped. Loading
      * requires an identically shaped tree — stats layout is part of the
      * snapshot format, guarded by snap::formatVersion. Defined in
      * src/snap/ so the common library does not depend on snap.
      */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     struct NamedScalar

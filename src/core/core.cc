@@ -127,48 +127,32 @@ Core::trace(const char *fmt, ...)
 }
 
 void
-Core::save(snap::Writer &w) const
+Core::io(snap::Archive &ar)
 {
-    w.tag("core");
-    w.str(model());
-    arch_.save(w);
-    w.u64(now_);
-    w.u64(startCycle_);
-    w.u64(lastFetchLine_);
-    w.u64(fetchLineReady_);
-    w.u8(static_cast<std::uint8_t>(stallCat_));
-    predictor_->save(w);
-    btb_.save(w);
-    ras_.save(w);
-    stats_.save(w);
-    w.tag("core-extra");
-    saveExtra(w);
+    ar.tag("core");
+    ar.check(model(), "core model");
+    arch_.io(ar);
+    ar.u64(now_);
+    ar.u64(startCycle_);
+    ar.u64(lastFetchLine_);
+    ar.u64(fetchLineReady_);
+    ar.enum8(stallCat_, trace::CpiCat::NumCats, "CPI category");
+    predictor_->io(ar);
+    btb_.io(ar);
+    ras_.io(ar);
+    stats_.io(ar);
+    ar.tag("core-extra");
+    ioExtra(ar);
 }
 
 void
-Core::load(snap::Reader &r)
+storeBufferIo(snap::Archive &ar, std::deque<PendingStore> &q)
 {
-    r.tag("core");
-    std::string m = r.str();
-    fatal_if(m != model(),
-             "snapshot: core model '%s' where '%s' expected "
-             "(configuration mismatch)",
-             m.c_str(), model());
-    arch_.load(r);
-    now_ = r.u64();
-    startCycle_ = r.u64();
-    lastFetchLine_ = r.u64();
-    fetchLineReady_ = r.u64();
-    std::uint8_t cat = r.u8();
-    fatal_if(cat >= static_cast<std::uint8_t>(trace::CpiCat::NumCats),
-             "snapshot: bad CPI category %u (corrupt snapshot)", cat);
-    stallCat_ = static_cast<trace::CpiCat>(cat);
-    predictor_->load(r);
-    btb_.load(r);
-    ras_.load(r);
-    stats_.load(r);
-    r.tag("core-extra");
-    loadExtra(r);
+    ar.list(q, "store buffer", [&](PendingStore &st) {
+        ar.u64(st.addr);
+        ar.u32(st.size);
+        ar.u64(st.issuableAt);
+    });
 }
 
 Cycle

@@ -13,6 +13,7 @@
 #ifndef SSTSIM_CORE_CORE_HH
 #define SSTSIM_CORE_CORE_HH
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,6 +29,18 @@
 
 namespace sst
 {
+
+/** A retired store waiting to drain into the L1 (the in-order, SST and
+ *  SMT store buffers). */
+struct PendingStore
+{
+    Addr addr;
+    unsigned size;
+    Cycle issuableAt;
+};
+
+/** Snapshot walk of a store buffer. */
+void storeBufferIo(snap::Archive &ar, std::deque<PendingStore> &q);
 
 /** Knobs shared by all core models (each model reads the subset it
  *  implements; presets in src/sim set these per machine config). */
@@ -191,12 +204,11 @@ class Core
      * Serialize complete core state: committed arch state, clocks,
      * fetch-line tracking, predictor/BTB/RAS, the whole stats tree
      * (which includes the CPI stack and this core's port stats), then
-     * the model's extra state via saveExtra(). Runtime attachments
+     * the model's extra state via ioExtra(). Runtime attachments
      * (trace sink, trace buffer pointer) are not state and are not
      * serialized; cached wake classifications are recomputed.
      */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   protected:
     /** True when someone is listening; guard any formatting work. */
@@ -265,8 +277,7 @@ class Core
     virtual void idleAdvance(Cycle n);
 
     /** Model-specific snapshot state (scoreboards, queues, epochs). */
-    virtual void saveExtra(snap::Writer &) const {}
-    virtual void loadExtra(snap::Reader &) {}
+    virtual void ioExtra(snap::Archive &) {}
 
   private:
     std::function<void(const std::string &)> traceSink_;

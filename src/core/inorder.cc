@@ -254,60 +254,16 @@ InOrderCore::issueOne()
     return true;
 }
 
-
-namespace
-{
-
-template <typename Q>
 void
-saveStoreBuffer(sst::snap::Writer &w, const Q &q)
-{
-    w.u32(static_cast<std::uint32_t>(q.size()));
-    for (const auto &st : q) {
-        w.u64(st.addr);
-        w.u32(st.size);
-        w.u64(st.issuableAt);
-    }
-}
-
-template <typename Q>
-void
-loadStoreBuffer(sst::snap::Reader &r, Q &q)
-{
-    q.clear();
-    std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        auto &st = q.emplace_back();
-        st.addr = r.u64();
-        st.size = r.u32();
-        st.issuableAt = r.u64();
-    }
-}
-
-} // namespace
-
-void
-InOrderCore::saveExtra(snap::Writer &w) const
-{
-    for (Cycle rdy : regReady_)
-        w.u64(rdy);
-    for (bool coh : regCoh_)
-        w.b(coh);
-    saveStoreBuffer(w, storeBuffer_);
-    w.u64(divBusyUntil_);
-    w.u64(frontEndReadyAt_);
-}
-
-void
-InOrderCore::loadExtra(snap::Reader &r)
+InOrderCore::ioExtra(snap::Archive &ar)
 {
     for (Cycle &rdy : regReady_)
-        rdy = r.u64();
-    for (auto &&coh : regCoh_)
-        coh = r.b();
-    loadStoreBuffer(r, storeBuffer_);
-    divBusyUntil_ = r.u64();
-    frontEndReadyAt_ = r.u64();
+        ar.u64(rdy);
+    for (bool &coh : regCoh_)
+        ar.b(coh);
+    storeBufferIo(ar, storeBuffer_);
+    ar.u64(divBusyUntil_);
+    ar.u64(frontEndReadyAt_);
 }
 
 } // namespace sst

@@ -32,8 +32,7 @@ class InOrderCore : public Core
   protected:
     void cycle() override;
     void idleAdvance(Cycle n) override;
-    void saveExtra(snap::Writer &w) const override;
-    void loadExtra(snap::Reader &r) override;
+    void ioExtra(snap::Archive &ar) override;
 
   private:
     /** Try to issue the instruction at arch_.pc. @return true on issue. */
@@ -54,12 +53,6 @@ class InOrderCore : public Core
     std::array<bool, numArchRegs> regCoh_{};
 
     /** Pending stores: architecturally applied, timing queued. */
-    struct PendingStore
-    {
-        Addr addr;
-        unsigned size;
-        Cycle issuableAt;
-    };
     std::deque<PendingStore> storeBuffer_;
 
     /** Unpipelined divider busy-until. */

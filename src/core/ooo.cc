@@ -381,69 +381,32 @@ OoOCore::dispatchStage()
 
 
 void
-OoOCore::saveExtra(snap::Writer &w) const
+OoOCore::ioExtra(snap::Archive &ar)
 {
-    w.u32(static_cast<std::uint32_t>(rob_.size()));
-    for (const RobEntry &e : rob_) {
-        w.u64(e.seq);
-        w.u64(e.pc);
-        w.u64(e.inst.encode());
-        e.step.save(w);
-        w.u8(static_cast<std::uint8_t>(e.state));
-        w.u64(e.doneCycle);
-        w.u64(e.retryAt);
-        w.u64(e.src1Producer);
-        w.u64(e.src2Producer);
-        w.b(e.isLd);
-        w.b(e.isSt);
-        w.b(e.mispredicted);
-    }
-    for (SeqNum p : lastProducer_)
-        w.u64(p);
-    w.u64(nextSeq_);
-    w.u32(iqOccupancy_);
-    w.u32(lsqOccupancy_);
-    w.u64(divBusyUntil_);
-    w.u64(frontEndReadyAt_);
-    w.u64(redirectBlockedOn_);
-    w.b(fetchHalted_);
-    w.b(pipeActive_);
-}
-
-void
-OoOCore::loadExtra(snap::Reader &r)
-{
-    rob_.clear();
-    std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        RobEntry &e = rob_.emplace_back();
-        e.seq = r.u64();
-        e.pc = r.u64();
-        e.inst = Inst::decode(r.u64());
-        e.step.load(r);
-        std::uint8_t st = r.u8();
-        fatal_if(st > static_cast<std::uint8_t>(State::Done),
-                 "snapshot: bad ROB entry state %u (corrupt snapshot)",
-                 st);
-        e.state = static_cast<State>(st);
-        e.doneCycle = r.u64();
-        e.retryAt = r.u64();
-        e.src1Producer = r.u64();
-        e.src2Producer = r.u64();
-        e.isLd = r.b();
-        e.isSt = r.b();
-        e.mispredicted = r.b();
-    }
+    ar.list(rob_, "ROB", [&](RobEntry &e) {
+        ar.u64(e.seq);
+        ar.u64(e.pc);
+        ar.encoded(e.inst);
+        e.step.io(ar);
+        ar.enum8(e.state, State::NumStates, "ROB entry state");
+        ar.u64(e.doneCycle);
+        ar.u64(e.retryAt);
+        ar.u64(e.src1Producer);
+        ar.u64(e.src2Producer);
+        ar.b(e.isLd);
+        ar.b(e.isSt);
+        ar.b(e.mispredicted);
+    });
     for (SeqNum &p : lastProducer_)
-        p = r.u64();
-    nextSeq_ = r.u64();
-    iqOccupancy_ = r.u32();
-    lsqOccupancy_ = r.u32();
-    divBusyUntil_ = r.u64();
-    frontEndReadyAt_ = r.u64();
-    redirectBlockedOn_ = r.u64();
-    fetchHalted_ = r.b();
-    pipeActive_ = r.b();
+        ar.u64(p);
+    ar.u64(nextSeq_);
+    ar.u32(iqOccupancy_);
+    ar.u32(lsqOccupancy_);
+    ar.u64(divBusyUntil_);
+    ar.u64(frontEndReadyAt_);
+    ar.u64(redirectBlockedOn_);
+    ar.b(fetchHalted_);
+    ar.b(pipeActive_);
 }
 
 } // namespace sst

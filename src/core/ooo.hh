@@ -34,15 +34,15 @@ class OoOCore : public Core
   protected:
     void cycle() override;
     void idleAdvance(Cycle n) override;
-    void saveExtra(snap::Writer &w) const override;
-    void loadExtra(snap::Reader &r) override;
+    void ioExtra(snap::Archive &ar) override;
 
   private:
     enum class State
     {
         Waiting,  ///< in issue queue, operands possibly outstanding
         Issued,   ///< executing; completes at doneCycle
-        Done      ///< result available, waiting to commit
+        Done,     ///< result available, waiting to commit
+        NumStates ///< count of states, not a state
     };
 
     struct RobEntry

@@ -282,64 +282,26 @@ SmtCore::issueOne(Context &ctx)
 
 
 void
-SmtCore::save(snap::Writer &w) const
+SmtCore::io(snap::Archive &ar)
 {
-    w.tag("smtcore");
-    w.u64(now_);
-    for (const Context &ctx : contexts_) {
-        ctx.arch.save(w);
-        for (Cycle rdy : ctx.regReady)
-            w.u64(rdy);
-        w.u64(ctx.frontEndReadyAt);
-        w.u64(ctx.lastFetchLine);
-        w.u64(ctx.fetchLineReady);
-        w.u64(ctx.salt);
-        ctx.ras->save(w);
-    }
-    predictor_->save(w);
-    btb_.save(w);
-    w.u64(divBusyUntil_);
-    w.u32(static_cast<std::uint32_t>(storeBuffer_.size()));
-    for (const PendingStore &st : storeBuffer_) {
-        w.u64(st.addr);
-        w.u32(st.size);
-        w.u64(st.issuableAt);
-    }
-    w.u8(static_cast<std::uint8_t>(stallCat_));
-    stats_.save(w);
-}
-
-void
-SmtCore::load(snap::Reader &r)
-{
-    r.tag("smtcore");
-    now_ = r.u64();
+    ar.tag("smtcore");
+    ar.u64(now_);
     for (Context &ctx : contexts_) {
-        ctx.arch.load(r);
+        ctx.arch.io(ar);
         for (Cycle &rdy : ctx.regReady)
-            rdy = r.u64();
-        ctx.frontEndReadyAt = r.u64();
-        ctx.lastFetchLine = r.u64();
-        ctx.fetchLineReady = r.u64();
-        ctx.salt = r.u64();
-        ctx.ras->load(r);
+            ar.u64(rdy);
+        ar.u64(ctx.frontEndReadyAt);
+        ar.u64(ctx.lastFetchLine);
+        ar.u64(ctx.fetchLineReady);
+        ar.u64(ctx.salt);
+        ctx.ras->io(ar);
     }
-    predictor_->load(r);
-    btb_.load(r);
-    divBusyUntil_ = r.u64();
-    storeBuffer_.clear();
-    std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        PendingStore &st = storeBuffer_.emplace_back();
-        st.addr = r.u64();
-        st.size = r.u32();
-        st.issuableAt = r.u64();
-    }
-    std::uint8_t cat = r.u8();
-    fatal_if(cat >= static_cast<std::uint8_t>(trace::CpiCat::NumCats),
-             "snapshot: bad CPI category %u (corrupt snapshot)", cat);
-    stallCat_ = static_cast<trace::CpiCat>(cat);
-    stats_.load(r);
+    predictor_->io(ar);
+    btb_.io(ar);
+    ar.u64(divBusyUntil_);
+    storeBufferIo(ar, storeBuffer_);
+    ar.enum8(stallCat_, trace::CpiCat::NumCats, "CPI category");
+    stats_.io(ar);
 }
 
 } // namespace sst

@@ -75,8 +75,7 @@ class SmtCore
 
     /** Serialize both contexts + shared pipeline state + stats tree
      *  (programs/memories stay bound; only execution state travels). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     struct Context
@@ -128,12 +127,6 @@ class SmtCore
     std::unique_ptr<BranchPredictor> predictor_;
     Btb btb_;
     Cycle divBusyUntil_ = 0;
-    struct PendingStore
-    {
-        Addr addr;
-        unsigned size;
-        Cycle issuableAt;
-    };
     std::deque<PendingStore> storeBuffer_;
 
     StatGroup stats_;

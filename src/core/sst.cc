@@ -1792,254 +1792,107 @@ SstCore::degradeSpeculation()
 
 
 void
-SstCore::saveExtra(snap::Writer &w) const
+SstCore::ioExtra(snap::Archive &ar)
 {
-    auto saveDq = [&w](const std::deque<DqEntry> &dq) {
-        w.u32(static_cast<std::uint32_t>(dq.size()));
-        for (const DqEntry &e : dq) {
-            w.u64(e.seq);
-            w.u64(e.pc);
-            w.u64(e.inst.encode());
-            for (const DeferredOperand *op : {&e.src1, &e.src2}) {
-                w.b(op->used);
-                w.b(op->captured);
-                w.u64(op->value);
-                w.u64(op->producer);
-            }
-            w.b(e.predTaken);
-            w.u64(e.predHistory);
-            w.u64(e.predTarget);
-            w.b(e.requestIssued);
-            w.u64(e.readyCycle);
-            w.b(e.valuePredicted);
-            w.u64(e.predValue);
-        }
-    };
-
-    for (std::uint64_t v : pendingSpec_)
-        w.u64(v);
-    for (std::uint64_t v : specRegs_)
-        w.u64(v);
-    for (bool v : na_)
-        w.b(v);
-    for (SeqNum v : naWriter_)
-        w.u64(v);
-    for (Cycle v : specReady_)
-        w.u64(v);
-    w.u64(aheadPc_);
-    w.b(aheadHalted_);
-    w.b(specProgress_);
-    w.u64(aheadFrontEndReadyAt_);
-    w.u64(aheadDivBusyUntil_);
-    for (Cycle v : regReady_)
-        w.u64(v);
-    w.u64(frontEndReadyAt_);
-    w.u64(divBusyUntil_);
-    w.u64(nextSeq_);
-    w.u32(nextEpochId_);
-    w.u32(dqCapacity_);
-    w.u32(ssqCapacity_);
-    w.u32(unverifiedBranches_);
-
-    w.u32(static_cast<std::uint32_t>(epochs_.size()));
-    for (const Epoch &ep : epochs_) {
-        w.u32(ep.id);
-        w.u64(ep.pc);
-        w.u64(ep.startSeq);
-        for (std::uint64_t v : ep.regs)
-            w.u64(v);
-        for (bool v : ep.na)
-            w.b(v);
-        for (SeqNum v : ep.naWriter)
-            w.u64(v);
-        w.u64(ep.predictorHistory);
-        ep.ras.save(w);
-        w.u64(ep.triggerReady);
-        saveDq(ep.dq);
-        saveDq(ep.redeferred);
-    }
-
-    w.u32(static_cast<std::uint32_t>(ssq_.size()));
-    for (const SsqEntry &e : ssq_) {
-        w.u64(e.seq);
-        w.b(e.resolved);
-        w.u64(e.addr);
-        w.u32(e.size);
-        w.u64(e.value);
-    }
-
-    w.u32(static_cast<std::uint32_t>(loadLog_.size()));
-    for (const SpecLoad &l : loadLog_) {
-        w.u64(l.seq);
-        w.u64(l.addr);
-        w.u32(l.size);
-    }
-
-    // unordered_map: emit sorted by seq so equal state hashes equal.
-    std::vector<SeqNum> seqs;
-    seqs.reserve(replayResults_.size());
-    for (const auto &kv : replayResults_)
-        seqs.push_back(kv.first);
-    std::sort(seqs.begin(), seqs.end());
-    w.u32(static_cast<std::uint32_t>(seqs.size()));
-    for (SeqNum seq : seqs) {
-        const ReplayResult &res = replayResults_.at(seq);
-        w.u64(seq);
-        w.u64(res.value);
-        w.u64(res.readyCycle);
-    }
-
-    w.u32(static_cast<std::uint32_t>(storeBuffer_.size()));
-    for (const PendingStore &st : storeBuffer_) {
-        w.u64(st.addr);
-        w.u32(st.size);
-        w.u64(st.issuableAt);
-    }
-
-    w.u64(lastFailTriggerPc_);
-    w.u64(lastRollbackCommitted_);
-    w.u32(consecutiveFails_);
-    w.u64(suppressTriggerPc_);
-
-    for (bool v : regCoh_)
-        w.b(v);
-    w.b(pendingCohSquash_);
-    w.b(sleActive_);
-    w.u64(sleLockAddr_);
-    w.b(sleReleaseSeen_);
-    w.u64(sleSuppressPc_);
-
-    vpred_.save(w);
-    w.u32(vpOutstanding_);
-}
-
-void
-SstCore::loadExtra(snap::Reader &r)
-{
-    auto loadDq = [&r](std::deque<DqEntry> &dq) {
-        dq.clear();
-        std::uint32_t n = r.u32();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            DqEntry &e = dq.emplace_back();
-            e.seq = r.u64();
-            e.pc = r.u64();
-            e.inst = Inst::decode(r.u64());
+    auto dqIo = [&ar](std::deque<DqEntry> &dq) {
+        ar.list(dq, "deferred queue", [&](DqEntry &e) {
+            ar.u64(e.seq);
+            ar.u64(e.pc);
+            ar.encoded(e.inst);
             for (DeferredOperand *op : {&e.src1, &e.src2}) {
-                op->used = r.b();
-                op->captured = r.b();
-                op->value = r.u64();
-                op->producer = r.u64();
+                ar.b(op->used);
+                ar.b(op->captured);
+                ar.u64(op->value);
+                ar.u64(op->producer);
             }
-            e.predTaken = r.b();
-            e.predHistory = r.u64();
-            e.predTarget = r.u64();
-            e.requestIssued = r.b();
-            e.readyCycle = r.u64();
-            e.valuePredicted = r.b();
-            e.predValue = r.u64();
-        }
+            ar.b(e.predTaken);
+            ar.u64(e.predHistory);
+            ar.u64(e.predTarget);
+            ar.b(e.requestIssued);
+            ar.u64(e.readyCycle);
+            ar.b(e.valuePredicted);
+            ar.u64(e.predValue);
+        });
     };
 
     for (std::uint64_t &v : pendingSpec_)
-        v = r.u64();
+        ar.u64(v);
     for (std::uint64_t &v : specRegs_)
-        v = r.u64();
-    for (std::size_t i = 0; i < na_.size(); ++i)
-        na_[i] = r.b();
+        ar.u64(v);
+    for (bool &v : na_)
+        ar.b(v);
     for (SeqNum &v : naWriter_)
-        v = r.u64();
+        ar.u64(v);
     for (Cycle &v : specReady_)
-        v = r.u64();
-    aheadPc_ = r.u64();
-    aheadHalted_ = r.b();
-    specProgress_ = r.b();
-    aheadFrontEndReadyAt_ = r.u64();
-    aheadDivBusyUntil_ = r.u64();
+        ar.u64(v);
+    ar.u64(aheadPc_);
+    ar.b(aheadHalted_);
+    ar.b(specProgress_);
+    ar.u64(aheadFrontEndReadyAt_);
+    ar.u64(aheadDivBusyUntil_);
     for (Cycle &v : regReady_)
-        v = r.u64();
-    frontEndReadyAt_ = r.u64();
-    divBusyUntil_ = r.u64();
-    nextSeq_ = r.u64();
-    nextEpochId_ = r.u32();
-    dqCapacity_ = r.u32();
-    ssqCapacity_ = r.u32();
-    unverifiedBranches_ = r.u32();
+        ar.u64(v);
+    ar.u64(frontEndReadyAt_);
+    ar.u64(divBusyUntil_);
+    ar.u64(nextSeq_);
+    ar.u32(nextEpochId_);
+    ar.u32(dqCapacity_);
+    ar.u32(ssqCapacity_);
+    ar.u32(unverifiedBranches_);
 
-    epochs_.clear();
-    std::uint32_t nEpochs = r.u32();
-    for (std::uint32_t i = 0; i < nEpochs; ++i) {
-        Epoch &ep = epochs_.emplace_back();
-        ep.id = r.u32();
-        ep.pc = r.u64();
-        ep.startSeq = r.u64();
+    ar.list(epochs_, "epoch", [&](Epoch &ep) {
+        ar.u32(ep.id);
+        ar.u64(ep.pc);
+        ar.u64(ep.startSeq);
         for (std::uint64_t &v : ep.regs)
-            v = r.u64();
-        for (std::size_t j = 0; j < ep.na.size(); ++j)
-            ep.na[j] = r.b();
+            ar.u64(v);
+        for (bool &v : ep.na)
+            ar.b(v);
         for (SeqNum &v : ep.naWriter)
-            v = r.u64();
-        ep.predictorHistory = r.u64();
-        ep.ras.load(r);
-        ep.triggerReady = r.u64();
-        loadDq(ep.dq);
-        loadDq(ep.redeferred);
-    }
+            ar.u64(v);
+        ar.u64(ep.predictorHistory);
+        ep.ras.io(ar);
+        ar.u64(ep.triggerReady);
+        dqIo(ep.dq);
+        dqIo(ep.redeferred);
+    });
 
-    ssq_.clear();
-    std::uint32_t nSsq = r.u32();
-    ssq_.resize(nSsq);
-    for (SsqEntry &e : ssq_) {
-        e.seq = r.u64();
-        e.resolved = r.b();
-        e.addr = r.u64();
-        e.size = r.u32();
-        e.value = r.u64();
-    }
+    ar.list(ssq_, "speculative store queue", [&](SsqEntry &e) {
+        ar.u64(e.seq);
+        ar.b(e.resolved);
+        ar.u64(e.addr);
+        ar.u32(e.size);
+        ar.u64(e.value);
+    });
 
-    loadLog_.clear();
-    std::uint32_t nLoads = r.u32();
-    loadLog_.resize(nLoads);
-    for (SpecLoad &l : loadLog_) {
-        l.seq = r.u64();
-        l.addr = r.u64();
-        l.size = r.u32();
-    }
+    ar.list(loadLog_, "speculative load log", [&](SpecLoad &l) {
+        ar.u64(l.seq);
+        ar.u64(l.addr);
+        ar.u32(l.size);
+    });
 
-    replayResults_.clear();
-    std::uint32_t nReplay = r.u32();
-    replayResults_.reserve(nReplay);
-    for (std::uint32_t i = 0; i < nReplay; ++i) {
-        SeqNum seq = r.u64();
-        ReplayResult res;
-        res.value = r.u64();
-        res.readyCycle = r.u64();
-        replayResults_.emplace(seq, res);
-    }
+    ar.sortedMap(replayResults_, "replay result", [&](ReplayResult &res) {
+        ar.u64(res.value);
+        ar.u64(res.readyCycle);
+    });
 
-    storeBuffer_.clear();
-    std::uint32_t nStores = r.u32();
-    for (std::uint32_t i = 0; i < nStores; ++i) {
-        PendingStore &st = storeBuffer_.emplace_back();
-        st.addr = r.u64();
-        st.size = r.u32();
-        st.issuableAt = r.u64();
-    }
+    storeBufferIo(ar, storeBuffer_);
 
-    lastFailTriggerPc_ = r.u64();
-    lastRollbackCommitted_ = r.u64();
-    consecutiveFails_ = r.u32();
-    suppressTriggerPc_ = r.u64();
+    ar.u64(lastFailTriggerPc_);
+    ar.u64(lastRollbackCommitted_);
+    ar.u32(consecutiveFails_);
+    ar.u64(suppressTriggerPc_);
 
-    for (auto &&v : regCoh_)
-        v = r.b();
-    pendingCohSquash_ = r.b();
-    sleActive_ = r.b();
-    sleLockAddr_ = r.u64();
-    sleReleaseSeen_ = r.b();
-    sleSuppressPc_ = r.u64();
+    for (bool &v : regCoh_)
+        ar.b(v);
+    ar.b(pendingCohSquash_);
+    ar.b(sleActive_);
+    ar.u64(sleLockAddr_);
+    ar.b(sleReleaseSeen_);
+    ar.u64(sleSuppressPc_);
 
-    vpred_.load(r);
-    vpOutstanding_ = r.u32();
+    vpred_.io(ar);
+    ar.u32(vpOutstanding_);
 }
 
 } // namespace sst

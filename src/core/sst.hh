@@ -81,8 +81,7 @@ class SstCore : public Core, public CohClient
   protected:
     void cycle() override;
     void idleAdvance(Cycle n) override;
-    void saveExtra(snap::Writer &w) const override;
-    void loadExtra(snap::Reader &r) override;
+    void ioExtra(snap::Archive &ar) override;
 
     /** In-speculation cycles are attributed provisionally: their final
      *  category depends on whether the region commits (replay /
@@ -294,12 +293,6 @@ class SstCore : public Core, public CohClient
     std::unordered_map<SeqNum, ReplayResult> replayResults_;
 
     /** Committed stores awaiting their timed L1 access. */
-    struct PendingStore
-    {
-        Addr addr;
-        unsigned size;
-        Cycle issuableAt;
-    };
     std::deque<PendingStore> storeBuffer_;
 
     /** Livelock guard: rollbacks (of any kind, including scout ends)

@@ -8,15 +8,6 @@ namespace sst
 {
 
 void
-ChaosMonitor::reset()
-{
-    params_ = ChaosParams{};
-    stallFired_ = false;
-    lastCycle_.store(0, std::memory_order_relaxed);
-    muted_.store(false, std::memory_order_relaxed);
-}
-
-void
 ChaosMonitor::scheduleExit(Cycle c, int signal)
 {
     params_.exitAtCycle = c;
@@ -33,7 +24,6 @@ ChaosMonitor::scheduleStall(Cycle c, unsigned ms)
 void
 ChaosMonitor::observe(Cycle now)
 {
-    lastCycle_.store(now, std::memory_order_relaxed);
     if (params_.stallAtCycle && !stallFired_
         && now >= params_.stallAtCycle) {
         // Mute first, then hang: the heartbeat thread must fall silent

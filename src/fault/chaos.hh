@@ -51,16 +51,12 @@ struct ChaosParams
 };
 
 /**
- * Cycle-triggered process chaos plus a cross-thread progress probe.
- * observe() runs on the simulation thread; lastObserved()/muted() are
- * safe to read from the worker's heartbeat thread.
+ * Cycle-triggered process chaos. observe() runs on the simulation
+ * thread; muted() is safe to read from the worker's heartbeat thread.
  */
 class ChaosMonitor
 {
   public:
-    /** Clear all triggers and progress state (call per job). */
-    void reset();
-
     /** Schedule a process kill at simulated cycle @p c. */
     void scheduleExit(Cycle c, int signal = SIGKILL);
 
@@ -71,12 +67,6 @@ class ChaosMonitor
     /** Called by the engine at every barrier with the chip clock. */
     void observe(Cycle now);
 
-    /** Latest cycle seen by observe(). */
-    Cycle lastObserved() const
-    {
-        return lastCycle_.load(std::memory_order_relaxed);
-    }
-
     /** True once the stall fired: the worker must stop heartbeating. */
     bool muted() const
     {
@@ -86,7 +76,6 @@ class ChaosMonitor
   private:
     ChaosParams params_;
     bool stallFired_ = false;
-    std::atomic<Cycle> lastCycle_{0};
     std::atomic<bool> muted_{false};
 };
 

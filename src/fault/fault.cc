@@ -84,17 +84,10 @@ FaultInjector::forceAbort()
 }
 
 void
-FaultInjector::save(snap::Writer &w) const
+FaultInjector::io(snap::Archive &ar)
 {
-    w.tag("fault");
-    rng_.save(w);
-}
-
-void
-FaultInjector::load(snap::Reader &r)
-{
-    r.tag("fault");
-    rng_.load(r);
+    ar.tag("fault");
+    rng_.io(ar);
 }
 
 } // namespace sst

@@ -118,8 +118,7 @@ class FaultInjector
 
     /** Serialize the fault RNG stream (counters travel with the stats
      *  tree). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     FaultParams params_;

@@ -240,49 +240,26 @@ Executor::run(ArchState &state, std::uint64_t maxInsts)
 }
 
 void
-ArchState::save(snap::Writer &w) const
+ArchState::io(snap::Archive &ar)
 {
-    for (std::uint64_t r : regs)
-        w.u64(r);
-    w.u64(pc);
-    w.b(halted);
+    for (std::uint64_t &r : regs)
+        ar.u64(r);
+    ar.u64(pc);
+    ar.b(halted);
 }
 
 void
-ArchState::load(snap::Reader &r)
+StepInfo::io(snap::Archive &ar)
 {
-    for (std::uint64_t &reg : regs)
-        reg = r.u64();
-    pc = r.u64();
-    halted = r.b();
-}
-
-void
-StepInfo::save(snap::Writer &w) const
-{
-    w.u64(inst.encode());
-    w.u64(pc);
-    w.u64(nextPc);
-    w.u64(effAddr);
-    w.u32(memSize);
-    w.u64(storeValue);
-    w.u64(result);
-    w.b(taken);
-    w.b(halted);
-}
-
-void
-StepInfo::load(snap::Reader &r)
-{
-    inst = Inst::decode(r.u64());
-    pc = r.u64();
-    nextPc = r.u64();
-    effAddr = r.u64();
-    memSize = r.u32();
-    storeValue = r.u64();
-    result = r.u64();
-    taken = r.b();
-    halted = r.b();
+    ar.encoded(inst);
+    ar.u64(pc);
+    ar.u64(nextPc);
+    ar.u64(effAddr);
+    ar.u32(memSize);
+    ar.u64(storeValue);
+    ar.u64(result);
+    ar.b(taken);
+    ar.b(halted);
 }
 
 } // namespace sst

@@ -26,8 +26,7 @@ class Program;
 
 namespace snap
 {
-class Writer;
-class Reader;
+class Archive;
 } // namespace snap
 
 /** Committed architectural state of one hardware context. */
@@ -37,8 +36,7 @@ struct ArchState
     std::uint64_t pc = 0;
     bool halted = false;
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
     std::uint64_t reg(RegId r) const { return r == 0 ? 0 : regs[r]; }
 
@@ -86,8 +84,7 @@ struct StepInfo
     bool taken = false;         ///< branch/jump redirected the PC
     bool halted = false;
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 };
 
 /** Drives ArchState through a Program one instruction at a time. */

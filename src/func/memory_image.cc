@@ -151,6 +151,15 @@ MemoryImage::highWater() const
 }
 
 void
+MemoryImage::io(snap::Archive &ar)
+{
+    if (ar.saving())
+        save(ar.writer());
+    else
+        load(ar.reader());
+}
+
+void
 MemoryImage::save(snap::Writer &w) const
 {
     static const Page zeroPage = [] {

@@ -21,6 +21,7 @@ class Program;
 
 namespace snap
 {
+class Archive;
 class Writer;
 class Reader;
 } // namespace snap
@@ -99,7 +100,11 @@ class MemoryImage
     Addr highWater() const;
 
     /** Serialize pages sorted by address (all-zero pages elided), so
-     *  equal contents encode to equal bytes regardless of touch order. */
+     *  equal contents encode to equal bytes regardless of touch order.
+     *  io() dispatches to save()/load(): unlike other components the
+     *  two directions really differ (zero-page filtering on save,
+     *  uninitialised pages and end-hinted inserts on load). */
+    void io(snap::Archive &ar);
     void save(snap::Writer &w) const;
     void load(snap::Reader &r);
 

@@ -214,51 +214,26 @@ Cache::flush()
 
 
 void
-Cache::save(snap::Writer &w) const
+Cache::io(snap::Archive &ar)
 {
-    w.tag("cache");
-    w.u32(static_cast<std::uint32_t>(lines_.size()));
-    for (const Line &l : lines_) {
-        w.b(l.valid);
-        w.b(l.dirty);
-        w.b(l.nruRef);
-        w.u64(l.tag);
-        w.u64(l.lastUse);
-        w.u64(l.readyCycle);
-    }
-    w.u32(static_cast<std::uint32_t>(mruWay_.size()));
-    for (std::uint32_t way : mruWay_)
-        w.u32(way);
-    w.u64(useCounter_);
-    rng_.save(w);
-}
-
-void
-Cache::load(snap::Reader &r)
-{
-    r.tag("cache");
-    std::uint32_t n = r.u32();
-    fatal_if(n != lines_.size(),
-             "snapshot: cache '%s' has %u lines, expected %zu "
-             "(configuration mismatch)",
-             params_.name.c_str(), n, lines_.size());
-    for (Line &l : lines_) {
-        l.valid = r.b();
-        l.dirty = r.b();
-        l.nruRef = r.b();
-        l.tag = r.u64();
-        l.lastUse = r.u64();
-        l.readyCycle = r.u64();
-    }
-    std::uint32_t m = r.u32();
-    fatal_if(m != mruWay_.size(),
-             "snapshot: cache '%s' has %u sets, expected %zu "
-             "(configuration mismatch)",
-             params_.name.c_str(), m, mruWay_.size());
-    for (std::uint32_t &way : mruWay_)
-        way = r.u32();
-    useCounter_ = r.u64();
-    rng_.load(r);
+    ar.tag("cache");
+    ar.fixed(lines_, "cache '" + params_.name + "' line count",
+             [&](Line &l) {
+                 ar.b(l.valid);
+                 ar.b(l.dirty);
+                 ar.b(l.nruRef);
+                 ar.u64(l.tag);
+                 ar.u64(l.lastUse);
+                 ar.u64(l.readyCycle);
+             });
+    // findLine() indexes the set by this hint unchecked, so a corrupt
+    // way must fail here rather than read past the set.
+    ar.fixed(mruWay_, "cache '" + params_.name + "' set count",
+             [&](std::uint32_t &way) {
+                 ar.index32(way, params_.assoc, "cache MRU way");
+             });
+    ar.u64(useCounter_);
+    rng_.io(ar);
 }
 
 } // namespace sst

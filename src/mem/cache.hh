@@ -108,8 +108,7 @@ class Cache
 
     /** Serialize tag/replacement state (geometry must already match;
      *  stats travel with the owning StatGroup tree). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     struct Line

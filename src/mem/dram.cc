@@ -81,31 +81,14 @@ Dram::drain()
 
 
 void
-Dram::save(snap::Writer &w) const
+Dram::io(snap::Archive &ar)
 {
-    w.tag("dram");
-    w.u32(static_cast<std::uint32_t>(banks_.size()));
-    for (const Bank &b : banks_) {
-        w.u64(b.busyUntil);
-        w.u64(b.openRow);
-    }
-    w.u64(channelFree_);
-}
-
-void
-Dram::load(snap::Reader &r)
-{
-    r.tag("dram");
-    std::uint32_t n = r.u32();
-    fatal_if(n != banks_.size(),
-             "snapshot: DRAM has %u banks, expected %zu "
-             "(configuration mismatch)",
-             n, banks_.size());
-    for (Bank &b : banks_) {
-        b.busyUntil = r.u64();
-        b.openRow = r.u64();
-    }
-    channelFree_ = r.u64();
+    ar.tag("dram");
+    ar.fixed(banks_, "DRAM bank count", [&](Bank &b) {
+        ar.u64(b.busyUntil);
+        ar.u64(b.openRow);
+    });
+    ar.u64(channelFree_);
 }
 
 } // namespace sst

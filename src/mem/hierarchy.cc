@@ -485,105 +485,36 @@ MemorySystem::flushAll()
 }
 
 void
-CorePort::save(snap::Writer &w) const
+CorePort::io(snap::Archive &ar)
 {
-    w.tag("coreport");
-    w.u32(coreId_);
-    w.u64(addressSalt_);
-    l1i_.save(w);
-    l1d_.save(w);
-    mshrs_.save(w);
-    dtlb_.save(w);
-    dataPf_.save(w);
-    instPf_.save(w);
-    std::vector<Addr> lines(prefetchedLines_.begin(),
-                            prefetchedLines_.end());
-    std::sort(lines.begin(), lines.end());
-    w.u64(lines.size());
-    for (Addr line : lines)
-        w.u64(line);
-    std::vector<Addr> stolen(cohInvalidatedLines_.begin(),
-                             cohInvalidatedLines_.end());
-    std::sort(stolen.begin(), stolen.end());
-    w.u64(stolen.size());
-    for (Addr line : stolen)
-        w.u64(line);
+    ar.tag("coreport");
+    ar.check(coreId_, "core port id");
+    ar.u64(addressSalt_);
+    l1i_.io(ar);
+    l1d_.io(ar);
+    mshrs_.io(ar);
+    dtlb_.io(ar);
+    dataPf_.io(ar);
+    instPf_.io(ar);
+    ar.sortedSet<std::uint64_t>(prefetchedLines_, "prefetched line");
+    ar.sortedSet<std::uint64_t>(cohInvalidatedLines_,
+                                "coherence-invalidated line");
     // The owned-store hint is behavioural state: a resumed run must
     // skip exactly the directory lookups the uninterrupted run skips.
-    std::vector<Addr> owned(ownedStoreLines_.begin(),
-                            ownedStoreLines_.end());
-    std::sort(owned.begin(), owned.end());
-    w.u64(owned.size());
-    for (Addr line : owned)
-        w.u64(line);
+    ar.sortedSet<std::uint64_t>(ownedStoreLines_, "owned store line");
 }
 
 void
-CorePort::load(snap::Reader &r)
+MemorySystem::io(snap::Archive &ar)
 {
-    r.tag("coreport");
-    std::uint32_t id = r.u32();
-    fatal_if(id != coreId_,
-             "snapshot: core port %u where %u expected "
-             "(configuration mismatch)",
-             id, coreId_);
-    addressSalt_ = r.u64();
-    l1i_.load(r);
-    l1d_.load(r);
-    mshrs_.load(r);
-    dtlb_.load(r);
-    dataPf_.load(r);
-    instPf_.load(r);
-    // These sets scale with the workload footprint (one entry per
-    // touched line); reserving up front avoids incremental rehashing,
-    // which dominated warm-window restore on large-footprint members.
-    prefetchedLines_.clear();
-    std::uint64_t n = r.u64();
-    prefetchedLines_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        prefetchedLines_.insert(r.u64());
-    cohInvalidatedLines_.clear();
-    std::uint64_t ns = r.u64();
-    cohInvalidatedLines_.reserve(ns);
-    for (std::uint64_t i = 0; i < ns; ++i)
-        cohInvalidatedLines_.insert(r.u64());
-    ownedStoreLines_.clear();
-    std::uint64_t no = r.u64();
-    ownedStoreLines_.reserve(no);
-    for (std::uint64_t i = 0; i < no; ++i)
-        ownedStoreLines_.insert(r.u64());
-}
-
-void
-MemorySystem::save(snap::Writer &w) const
-{
-    w.tag("memsys");
-    l2_.save(w);
-    dram_.save(w);
-    faults_.save(w);
-    w.u64(l2PortFree_);
-    w.u32(static_cast<std::uint32_t>(ports_.size()));
-    for (const auto &port : ports_)
-        port->save(w);
-    directory_.save(w);
-}
-
-void
-MemorySystem::load(snap::Reader &r)
-{
-    r.tag("memsys");
-    l2_.load(r);
-    dram_.load(r);
-    faults_.load(r);
-    l2PortFree_ = r.u64();
-    std::uint32_t n = r.u32();
-    fatal_if(n != ports_.size(),
-             "snapshot: %u core ports where %zu expected "
-             "(configuration mismatch)",
-             n, ports_.size());
-    for (auto &port : ports_)
-        port->load(r);
-    directory_.load(r);
+    ar.tag("memsys");
+    l2_.io(ar);
+    dram_.io(ar);
+    faults_.io(ar);
+    ar.u64(l2PortFree_);
+    ar.fixed(ports_, "core port count",
+             [&](std::unique_ptr<CorePort> &port) { port->io(ar); });
+    directory_.io(ar);
 }
 
 } // namespace sst

@@ -133,8 +133,7 @@ class CorePort
     /** Serialize caches/MSHRs/TLB/prefetchers + the prefetched-line set
      *  (sorted, so equal state encodes to equal bytes). The stats tree
      *  is serialized by the owning chip (Cmp), not here. */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     friend class MemorySystem;
@@ -273,8 +272,7 @@ class MemorySystem
     /** Serialize L2/DRAM/fault-RNG/port-arbiter state plus every
      *  registered core port (ports must already exist: configuration,
      *  including core count, is re-created before load). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     friend class CorePort;

@@ -91,33 +91,14 @@ MshrFile::invalidate(Addr lineAddr)
 
 
 void
-MshrFile::save(snap::Writer &w) const
+MshrFile::io(snap::Archive &ar)
 {
-    w.tag("mshr");
-    w.u32(static_cast<std::uint32_t>(entries_.size()));
-    for (const Entry &e : entries_) {
-        w.u64(e.lineAddr);
-        w.u64(e.completion);
-        w.b(e.demand);
-    }
-}
-
-void
-MshrFile::load(snap::Reader &r)
-{
-    r.tag("mshr");
-    std::uint32_t n = r.u32();
-    fatal_if(n > capacity_,
-             "snapshot: %u in-flight MSHR entries exceed capacity %u "
-             "(configuration mismatch)",
-             n, capacity_);
-    entries_.clear();
-    entries_.resize(n);
-    for (Entry &e : entries_) {
-        e.lineAddr = r.u64();
-        e.completion = r.u64();
-        e.demand = r.b();
-    }
+    ar.tag("mshr");
+    ar.list(entries_, "in-flight MSHR", capacity_, [&](Entry &e) {
+        ar.u64(e.lineAddr);
+        ar.u64(e.completion);
+        ar.b(e.demand);
+    });
 }
 
 } // namespace sst

@@ -88,8 +88,7 @@ class MshrFile
     double meanDemandMlp() const { return mlp_.mean(); }
     const Distribution &mlpDist() const { return mlp_; }
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     unsigned capacity_;

@@ -98,35 +98,17 @@ Prefetcher::strideTargets(Addr lineAddr, bool miss)
 
 
 void
-Prefetcher::save(snap::Writer &w) const
+Prefetcher::io(snap::Archive &ar)
 {
-    w.tag("prefetcher");
-    w.u64(lastTrigger_);
-    w.u32(static_cast<std::uint32_t>(strideTable_.size()));
-    for (const StrideEntry &e : strideTable_) {
-        w.u64(e.regionTag);
-        w.u64(e.lastAddr);
-        w.i64(e.delta);
-        w.u32(e.confidence);
-    }
-}
-
-void
-Prefetcher::load(snap::Reader &r)
-{
-    r.tag("prefetcher");
-    lastTrigger_ = r.u64();
-    std::uint32_t n = r.u32();
-    fatal_if(n != strideTable_.size(),
-             "snapshot: stride table has %u entries, expected %zu "
-             "(configuration mismatch)",
-             n, strideTable_.size());
-    for (StrideEntry &e : strideTable_) {
-        e.regionTag = r.u64();
-        e.lastAddr = r.u64();
-        e.delta = r.i64();
-        e.confidence = r.u32();
-    }
+    ar.tag("prefetcher");
+    ar.u64(lastTrigger_);
+    ar.fixed(strideTable_, "stride table entry count",
+             [&](StrideEntry &e) {
+                 ar.u64(e.regionTag);
+                 ar.u64(e.lastAddr);
+                 ar.i64(e.delta);
+                 ar.u32(e.confidence);
+             });
 }
 
 } // namespace sst

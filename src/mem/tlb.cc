@@ -83,33 +83,15 @@ Tlb::earliestWalkCompletion(Cycle now) const
 
 
 void
-Tlb::save(snap::Writer &w) const
+Tlb::io(snap::Archive &ar)
 {
-    w.tag("tlb");
-    w.u32(static_cast<std::uint32_t>(entries_.size()));
-    for (const Entry &e : entries_) {
-        w.u64(e.page);
-        w.u64(e.lastUse);
-        w.u64(e.walkReady);
-    }
-    w.u64(useCounter_);
-}
-
-void
-Tlb::load(snap::Reader &r)
-{
-    r.tag("tlb");
-    std::uint32_t n = r.u32();
-    fatal_if(n != entries_.size(),
-             "snapshot: TLB has %u entries, expected %zu "
-             "(configuration mismatch)",
-             n, entries_.size());
-    for (Entry &e : entries_) {
-        e.page = r.u64();
-        e.lastUse = r.u64();
-        e.walkReady = r.u64();
-    }
-    useCounter_ = r.u64();
+    ar.tag("tlb");
+    ar.fixed(entries_, "TLB entry count", [&](Entry &e) {
+        ar.u64(e.page);
+        ar.u64(e.lastUse);
+        ar.u64(e.walkReady);
+    });
+    ar.u64(useCounter_);
 }
 
 } // namespace sst

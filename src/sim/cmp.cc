@@ -99,27 +99,15 @@ Watchdog::skipBound() const
 }
 
 void
-Watchdog::save(snap::Writer &w) const
+Watchdog::io(snap::Archive &ar)
 {
-    w.tag("watchdog");
-    w.u64(lastInsts_);
-    w.u64(windowStart_);
-    w.u32(fruitless_);
-    w.u64(recoveries_);
-    w.u64(interventions_);
-    w.b(gaveUp_);
-}
-
-void
-Watchdog::load(snap::Reader &r)
-{
-    r.tag("watchdog");
-    lastInsts_ = r.u64();
-    windowStart_ = r.u64();
-    fruitless_ = r.u32();
-    recoveries_ = r.u64();
-    interventions_ = r.u64();
-    gaveUp_ = r.b();
+    ar.tag("watchdog");
+    ar.u64(lastInsts_);
+    ar.u64(windowStart_);
+    ar.u32(fruitless_);
+    ar.u64(recoveries_);
+    ar.u64(interventions_);
+    ar.b(gaveUp_);
 }
 
 namespace
@@ -607,52 +595,66 @@ Cmp::attachTraceBuffer(trace::TraceBuffer *buf)
 }
 
 void
-Cmp::saveState(snap::Writer &w) const
+Cmp::stateIo(snap::Archive &ar)
 {
-    w.tag("cmp-state");
-    w.u64(cycle_);
-    w.b(allHalted_);
-    w.b(livelocked_);
+    ar.tag("cmp-state");
+    ar.u64(cycle_);
+    ar.b(allHalted_);
+    ar.b(livelocked_);
     for (std::size_t i = 0; i < cores_.size(); ++i) {
-        cores_[i]->save(w);
-        watchdogs_[i]->save(w);
+        cores_[i]->io(ar);
+        watchdogs_[i]->io(ar);
     }
     // One image in coherent mode, one per core otherwise.
     for (const auto &image : images_)
-        image->save(w);
-    memsys_.save(w);
-    memsys_.stats().save(w);
+        image->io(ar);
+    memsys_.io(ar);
+    memsys_.stats().io(ar);
 }
 
 void
-Cmp::loadState(snap::Reader &r)
+Cmp::fileIo(snap::Archive &ar)
 {
-    r.tag("cmp-state");
-    cycle_ = r.u64();
-    allHalted_ = r.b();
-    livelocked_ = r.b();
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-        cores_[i]->load(r);
-        watchdogs_[i]->load(r);
+    std::uint64_t magic = snap::fileMagic;
+    ar.u64(magic);
+    fatal_if(magic != snap::fileMagic,
+             "snapshot: bad magic (not a snapshot file?)");
+    std::uint32_t version = snap::formatVersion;
+    ar.u32(version);
+    fatal_if(version != snap::formatVersion,
+             "snapshot: format version %u, this build reads %u", version,
+             snap::formatVersion);
+    ar.check(config_.presetName, "preset");
+    ar.check(config_.model, "core model");
+    ar.check(cores_.size(), "core count");
+    for (const Program *program : programs_) {
+        ar.check(program->name(), "workload");
+        const std::uint64_t want = programFingerprint(*program);
+        std::uint64_t fp = want;
+        ar.u64(fp);
+        fatal_if(fp != want,
+                 "snapshot: program '%s' differs from the one "
+                 "snapshotted",
+                 program->name().c_str());
     }
-    for (const auto &image : images_)
-        image->load(r);
-    // Views are always drained at snapshot points; discard any buffered
-    // bytes so the restored base is the only truth. The base image's
-    // write observer survives load() untouched (see the constructor),
-    // so post-restore remote writes squash exactly as before.
-    for (const auto &view : views_)
-        view->clearQuantum();
-    overlayShared_.journal.clear();
-    memsys_.load(r);
-    memsys_.stats().load(r);
+    stateIo(ar);
+    ar.tag("trace");
+    bool traced = traceBuf_ != nullptr;
+    ar.b(traced);
+    if (traced) {
+        fatal_if(!traceBuf_,
+                 "snapshot carries a trace buffer but none is attached; "
+                 "attach one before restore to keep traces byte-identical");
+        traceBuf_->io(ar);
+    }
 }
 
 std::uint64_t
 Cmp::stateHash() const
 {
     snap::Writer w;
-    saveState(w);
+    snap::Archive ar(w);
+    const_cast<Cmp *>(this)->stateIo(ar);
     return w.hash();
 }
 
@@ -660,20 +662,8 @@ std::vector<std::uint8_t>
 Cmp::snapshot() const
 {
     snap::Writer w;
-    w.u64(snap::fileMagic);
-    w.u32(snap::formatVersion);
-    w.str(config_.presetName);
-    w.str(config_.model);
-    w.u32(static_cast<std::uint32_t>(cores_.size()));
-    for (const Program *program : programs_) {
-        w.str(program->name());
-        w.u64(programFingerprint(*program));
-    }
-    saveState(w);
-    w.tag("trace");
-    w.b(traceBuf_ != nullptr);
-    if (traceBuf_)
-        traceBuf_->save(w);
+    snap::Archive ar(w);
+    const_cast<Cmp *>(this)->fileIo(ar);
     return w.data();
 }
 
@@ -681,42 +671,17 @@ void
 Cmp::restore(const std::vector<std::uint8_t> &bytes)
 {
     snap::Reader r(bytes);
-    fatal_if(r.u64() != snap::fileMagic,
-             "snapshot: bad magic (not a snapshot file?)");
-    std::uint32_t version = r.u32();
-    fatal_if(version != snap::formatVersion,
-             "snapshot: format version %u, this build reads %u", version,
-             snap::formatVersion);
-    std::string preset = r.str();
-    fatal_if(preset != config_.presetName,
-             "snapshot: preset '%s' where '%s' expected", preset.c_str(),
-             config_.presetName.c_str());
-    std::string model = r.str();
-    fatal_if(model != config_.model,
-             "snapshot: core model '%s' where '%s' expected",
-             model.c_str(), config_.model.c_str());
-    std::uint32_t n = r.u32();
-    fatal_if(n != cores_.size(),
-             "snapshot: %u cores where %zu expected", n, cores_.size());
-    for (const Program *program : programs_) {
-        std::string name = r.str();
-        fatal_if(name != program->name(),
-                 "snapshot: workload '%s' where '%s' expected",
-                 name.c_str(), program->name().c_str());
-        fatal_if(r.u64() != programFingerprint(*program),
-                 "snapshot: program '%s' differs from the one "
-                 "snapshotted",
-                 program->name().c_str());
-    }
-    loadState(r);
-    r.tag("trace");
-    if (r.b()) {
-        fatal_if(!traceBuf_,
-                 "snapshot carries a trace buffer but none is attached; "
-                 "attach one before restore to keep traces byte-identical");
-        traceBuf_->load(r);
-    }
+    snap::Archive ar(r);
+    fileIo(ar);
     r.done();
+    // Views are always drained at snapshot points; discard any buffered
+    // bytes so the restored base is the only truth. The base image's
+    // write observer survives the restore untouched (see the
+    // constructor), so post-restore remote writes squash exactly as
+    // before.
+    for (const auto &view : views_)
+        view->clearQuantum();
+    overlayShared_.journal.clear();
 }
 
 Result<void>

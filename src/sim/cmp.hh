@@ -85,8 +85,7 @@ class Watchdog
     }
 
     /** Serialize progress-tracking state (params stay bound). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     const WatchdogParams params_;
@@ -244,10 +243,12 @@ class Cmp
     void runEngine(Cycle bound, const SnapPolicy &snap);
     /** Sync quantum in cycles (config override or mode default). */
     Cycle quantum() const;
+    /** Snapshot file walk: identity header (magic, version, preset,
+     *  model, programs), the state payload, then the trace buffer. */
+    void fileIo(snap::Archive &ar);
     /** State payload shared by snapshot(), restore() and stateHash()
      *  (no file header). */
-    void saveState(snap::Writer &w) const;
-    void loadState(snap::Reader &r);
+    void stateIo(snap::Archive &ar);
 
     MachineConfig config_;
     const std::vector<const Program *> programs_;

@@ -52,13 +52,30 @@ hexU64(std::uint64_t v)
     return buf;
 }
 
+/** A member's state sections, after its identity header. */
+void
+memberStateIo(snap::Archive &ar, ArchState &cursor, MemorySystem &memsys,
+              MemoryImage &image)
+{
+    ar.tag("profile-cursor");
+    cursor.io(ar);
+    ar.tag("profile-mem");
+    memsys.io(ar);
+    ar.tag("profile-stats");
+    memsys.stats().io(ar);
+    ar.tag("profile-image");
+    image.io(ar);
+    ar.tag("profile-end");
+}
+
 /** Serialize one selected region's warm start state. The trailing u64
  *  is an FNV-1a checksum over every preceding byte, so triage can
- *  reject arbitrary corruption without deserializing anything. */
+ *  reject arbitrary corruption without deserializing anything. The
+ *  identity header is written from the library here and checked
+ *  against the run's own identity in readMemberHeader(). */
 std::vector<std::uint8_t>
 serializeMember(const ProfileLibrary &lib, const ProfileRegion &region,
-                const ArchState &cursor, const MemorySystem &memsys,
-                const MemoryImage &image)
+                ArchState &cursor, MemorySystem &memsys, MemoryImage &image)
 {
     snap::Writer w;
     w.u64(snap::fileMagic);
@@ -72,15 +89,8 @@ serializeMember(const ProfileLibrary &lib, const ProfileRegion &region,
     w.u64(region.index);
     w.u64(region.startInsts);
     w.u64(region.startClock);
-    w.tag("profile-cursor");
-    cursor.save(w);
-    w.tag("profile-mem");
-    memsys.save(w);
-    w.tag("profile-stats");
-    memsys.stats().save(w);
-    w.tag("profile-image");
-    image.save(w);
-    w.tag("profile-end");
+    snap::Archive ar(w);
+    memberStateIo(ar, cursor, memsys, image);
     std::uint64_t sum = w.hash();
     w.u64(sum);
     return w.data();
@@ -145,21 +155,6 @@ readMemberHeader(snap::Reader &r, const MachineConfig &config,
     regionIndex = r.u64();
     startInsts = r.u64();
     startClock = r.u64();
-}
-
-void
-restoreMemberState(snap::Reader &r, MemorySystem &memsys,
-                   MemoryImage &image, ArchState &cursor)
-{
-    r.tag("profile-cursor");
-    cursor.load(r);
-    r.tag("profile-mem");
-    memsys.load(r);
-    r.tag("profile-stats");
-    memsys.stats().load(r);
-    r.tag("profile-image");
-    image.load(r);
-    r.tag("profile-end");
 }
 
 /** L1 distance between two normalized basic-block vectors. */
@@ -522,9 +517,9 @@ buildProfileLibrary(const MachineConfig &config, const Program &program,
 
     selectRegions(lib.regions, bbv, params.maxRegions);
 
-    // Pass 2: replay with cache warming — runSampled's fast-forward
-    // semantics, including the bounded MSHR-retry loop — and serialize
-    // each selected region's start state at its boundary.
+    // Pass 2: replay with cache warming — the warmStep() runSampled's
+    // fast-forward takes — and serialize each selected region's start
+    // state at its boundary.
     MemorySystem memsys(config.mem);
     CorePort &port = memsys.addCore();
     MemoryImage image;
@@ -547,22 +542,8 @@ buildProfileLibrary(const MachineConfig &config, const Program &program,
             } while (next < lib.regions.size()
                      && !lib.regions[next].selected);
         }
-        StepInfo info = exec.step(cursor);
-        if (info.effAddr != invalidAddr) {
-            AccessType type = isStore(info.inst.op) ? AccessType::Store
-                                                    : AccessType::Load;
-            ++lib.warmAccesses;
-            auto res = port.access(type, info.effAddr, clock);
-            for (int tries = 0;
-                 res.rejected && res.retryCycle > clock && tries < 4;
-                 ++tries) {
-                clock = res.retryCycle;
-                res = port.access(type, info.effAddr, clock);
-            }
-            if (!res.rejected && res.l1Hit)
-                ++lib.warmHits;
-        }
-        clock += params.warmCpi;
+        warmStep(port, exec.step(cursor), params.warmCpi, clock,
+                 lib.warmAccesses, lib.warmHits);
         ++done;
     }
     panic_if(done != lib.totalInsts,
@@ -766,19 +747,12 @@ runSampledFromLibrary(const MachineConfig &config, const Program &program,
         Cycle clock = 0;
         readMemberHeader(rd, config, program.name(), programFp,
                          library.configHash, index, start, clock);
-        restoreMemberState(rd, memsys, image, cursor);
+        snap::Archive ar(rd);
+        memberStateIo(ar, cursor, memsys, image);
         rd.done();
 
-        auto core = makeCore(config, program, image, port);
-        core->warmStart(cursor, clock);
-        std::uint64_t budget_cycles = params.detailInsts * 1000;
-        while (!core->halted()
-               && core->instsRetired() < params.detailInsts
-               && core->cycles() - core->startCycle() < budget_cycles)
-            core->tick();
-        fatal_if(!core->halted()
-                     && core->instsRetired() < params.detailInsts,
-                 "sampled window made no progress");
+        auto core = runDetailedWindow(config, program, image, port,
+                                      cursor, clock, params.detailInsts);
         std::uint64_t insts = core->instsRetired();
         Cycle cycles = core->cycles() - core->startCycle();
         fatal_if(insts == 0, "sampled window retired nothing");
@@ -835,7 +809,8 @@ warmStartMachine(Machine &machine, const ProfileLibrary &library,
                          programFingerprint(machine.program()),
                          library.configHash, index, start, clock);
         ArchState cursor;
-        restoreMemberState(rd, machine.memsys(), machine.image(), cursor);
+        snap::Archive ar(rd);
+        memberStateIo(ar, cursor, machine.memsys(), machine.image());
         rd.done();
         machine.warmStart(cursor, clock);
         if (startInsts)

@@ -52,6 +52,50 @@ SampledResult::ipcCi95() const
     return 1.96 * std::sqrt(var / neff);
 }
 
+void
+warmStep(CorePort &port, const StepInfo &info, unsigned warmCpi,
+         Cycle &clock, std::uint64_t &accesses, std::uint64_t &hits)
+{
+    if (info.effAddr != invalidAddr) {
+        AccessType type =
+            isStore(info.inst.op) ? AccessType::Store : AccessType::Load;
+        ++accesses;
+        auto res = port.access(type, info.effAddr, clock);
+        // A rejected access (MSHRs full) is dropped by the port, not
+        // queued. Ignoring the rejection meant that once the coarse
+        // warm clock filled the MSHR file, every later access in the
+        // window bounced and warming silently stopped. Advance the
+        // clock to the port's retry cycle — that is when an MSHR frees
+        // — and re-issue, bounded so a pathological port cannot wedge
+        // the functional cursor.
+        for (int tries = 0;
+             res.rejected && res.retryCycle > clock && tries < 4; ++tries) {
+            clock = res.retryCycle;
+            res = port.access(type, info.effAddr, clock);
+        }
+        if (!res.rejected && res.l1Hit)
+            ++hits;
+    }
+    clock += warmCpi;
+}
+
+std::unique_ptr<Core>
+runDetailedWindow(const MachineConfig &config, const Program &program,
+                  MemoryImage &image, CorePort &port,
+                  const ArchState &cursor, Cycle clock,
+                  std::uint64_t detailInsts)
+{
+    auto core = makeCore(config, program, image, port);
+    core->warmStart(cursor, clock);
+    std::uint64_t budget_cycles = detailInsts * 1000;
+    while (!core->halted() && core->instsRetired() < detailInsts
+           && core->cycles() - core->startCycle() < budget_cycles)
+        core->tick();
+    fatal_if(!core->halted() && core->instsRetired() < detailInsts,
+             "sampled window made no progress");
+    return core;
+}
+
 SampledResult
 runSampled(const MachineConfig &config, const Program &program,
            const SampleParams &params)
@@ -75,31 +119,8 @@ runSampled(const MachineConfig &config, const Program &program,
     auto fast_forward = [&](std::uint64_t n) {
         std::uint64_t done = 0;
         while (done < n && !cursor.halted) {
-            StepInfo info = exec.step(cursor);
-            if (info.effAddr != invalidAddr) {
-                AccessType type = isStore(info.inst.op)
-                                      ? AccessType::Store
-                                      : AccessType::Load;
-                ++result.warmAccesses;
-                auto res = port.access(type, info.effAddr, clock);
-                // A rejected access (MSHRs full) is dropped by the
-                // port, not queued. Ignoring the rejection meant that
-                // once the coarse warm clock filled the MSHR file,
-                // every later access in the window bounced and warming
-                // silently stopped. Advance the clock to the port's
-                // retry cycle — that is when an MSHR frees — and
-                // re-issue, bounded so a pathological port cannot wedge
-                // the functional cursor.
-                for (int tries = 0;
-                     res.rejected && res.retryCycle > clock && tries < 4;
-                     ++tries) {
-                    clock = res.retryCycle;
-                    res = port.access(type, info.effAddr, clock);
-                }
-                if (!res.rejected && res.l1Hit)
-                    ++result.warmHits;
-            }
-            clock += params.warmCpi;
+            warmStep(port, exec.step(cursor), params.warmCpi, clock,
+                     result.warmAccesses, result.warmHits);
             ++done;
         }
         result.skippedInsts += done;
@@ -110,18 +131,8 @@ runSampled(const MachineConfig &config, const Program &program,
             && result.windowIpc.size() >= params.maxSamples)
             break;
 
-        // Detailed window.
-        auto core = makeCore(config, program, image, port);
-        core->warmStart(cursor, clock);
-        std::uint64_t budget_cycles = params.detailInsts * 1000;
-        while (!core->halted()
-               && core->instsRetired() < params.detailInsts
-               && core->cycles() - core->startCycle() < budget_cycles)
-            core->tick();
-        fatal_if(!core->halted()
-                     && core->instsRetired() < params.detailInsts,
-                 "sampled window made no progress");
-
+        auto core = runDetailedWindow(config, program, image, port,
+                                      cursor, clock, params.detailInsts);
         std::uint64_t insts = core->instsRetired();
         Cycle cycles = core->cycles() - core->startCycle();
         result.windowIpc.push_back(core->ipc());

@@ -72,6 +72,28 @@ struct SampledResult
 };
 
 /**
+ * Functional warming of one executed instruction: its memory access
+ * (if any) goes to @p port at @p clock, then @p warmCpi cycles are
+ * charged. A rejected access (MSHRs full) is re-issued at the port's
+ * retry cycle, a bounded number of times. Counts the access into
+ * @p accesses and an L1 hit into @p hits.
+ */
+void warmStep(CorePort &port, const StepInfo &info, unsigned warmCpi,
+              Cycle &clock, std::uint64_t &accesses, std::uint64_t &hits);
+
+/**
+ * One detailed window: a fresh core warm-started at @p cursor and
+ * @p clock runs until it halts, retires @p detailInsts instructions or
+ * exhausts its cycle budget (fatal: the window made no progress).
+ * @return the core, for the caller to read its counters and state.
+ */
+std::unique_ptr<Core> runDetailedWindow(const MachineConfig &config,
+                                        const Program &program,
+                                        MemoryImage &image, CorePort &port,
+                                        const ArchState &cursor, Cycle clock,
+                                        std::uint64_t detailInsts);
+
+/**
  * Run @p program under @p config with the given sampling schedule.
  * @return the aggregate estimate. The program must halt.
  */

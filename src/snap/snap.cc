@@ -131,6 +131,94 @@ Reader::done() const
              size_ - pos_);
 }
 
+void
+Archive::f64(double &v)
+{
+    if (w_)
+        w_->f64(v);
+    else
+        v = r_->f64();
+}
+
+void
+Archive::str(std::string &s)
+{
+    if (w_)
+        w_->str(s);
+    else
+        s = r_->str();
+}
+
+void
+Archive::bytes(void *data, std::size_t len)
+{
+    if (w_)
+        w_->bytes(data, len);
+    else
+        r_->bytes(data, len);
+}
+
+void
+Archive::tag(const char *name)
+{
+    if (w_)
+        w_->tag(name);
+    else
+        r_->tag(name);
+}
+
+void
+Archive::check(const std::string &have, const std::string &what)
+{
+    if (w_) {
+        w_->str(have);
+        return;
+    }
+    std::string got = r_->str();
+    fatal_if(got != have,
+             "snapshot: %s '%s' where '%s' expected (configuration "
+             "mismatch)",
+             what.c_str(), got.c_str(), have.c_str());
+}
+
+void
+Archive::failRange(const char *what, std::uint64_t v,
+                   std::uint64_t bound) const
+{
+    fatal("snapshot: bad %s %llu, want below %llu (corrupt snapshot)",
+          what, static_cast<unsigned long long>(v),
+          static_cast<unsigned long long>(bound));
+}
+
+void
+Archive::failCheck(const std::string &what, std::uint64_t got,
+                   std::uint64_t want) const
+{
+    fatal("snapshot: %s is %llu, expected %llu (configuration mismatch)",
+          what.c_str(), static_cast<unsigned long long>(got),
+          static_cast<unsigned long long>(want));
+}
+
+void
+Archive::failCount(const char *what, std::uint64_t n,
+                   std::uint64_t max) const
+{
+    if (n > max)
+        fatal("snapshot: %llu %s entries exceed the limit of %llu "
+              "(corrupt snapshot or configuration mismatch)",
+              static_cast<unsigned long long>(n), what,
+              static_cast<unsigned long long>(max));
+    fatal("snapshot: %llu %s entries cannot fit in the %zu bytes left "
+          "(corrupt snapshot)",
+          static_cast<unsigned long long>(n), what, r_->remaining());
+}
+
+void
+Archive::failOrder(const char *what) const
+{
+    fatal("snapshot: %s keys out of order (corrupt snapshot)", what);
+}
+
 Result<void>
 writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
 {

@@ -2,15 +2,19 @@
  * @file
  * Versioned, endian-stable binary serialization of machine state.
  *
- * Every stateful simulator component exposes a save(Writer&)/load(Reader&)
- * pair built on these two classes. The encoding is deliberately dumb:
- * fixed-width little-endian integers, length-prefixed strings, and
- * explicit tag markers at section boundaries so a corrupt or mismatched
- * snapshot fails with a named location instead of silently misaligned
- * reads. Writer output is a pure function of the saved state — no
- * pointers, no map iteration order, no host endianness — which is what
- * makes the FNV state hash (and the `sstsim diff` divergence search
- * built on it) meaningful across processes and machines.
+ * Every stateful simulator component exposes one io(Archive&) that
+ * lists its serialized fields in order. An Archive wraps either a
+ * Writer or a Reader, so the same walk saves and loads and the two
+ * directions cannot drift apart: `ar.u64(field)` writes the field when
+ * saving and reads into it when loading. The encoding is deliberately
+ * dumb: fixed-width little-endian integers, length-prefixed strings,
+ * and explicit tag markers at section boundaries so a corrupt or
+ * mismatched snapshot fails with a named location instead of silently
+ * misaligned reads. Writer output is a pure function of the saved
+ * state — no pointers, no map iteration order, no host endianness —
+ * which is what makes the FNV state hash (and the `sstsim diff`
+ * divergence search built on it) meaningful across processes and
+ * machines.
  *
  * Error discipline: Reader failures call fatal(), matching the repo's
  * convention for bad user input; CLI entry points wrap restore paths in
@@ -20,6 +24,7 @@
 #ifndef SSTSIM_SNAP_SNAP_HH
 #define SSTSIM_SNAP_SNAP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -29,7 +34,7 @@
 namespace sst::snap
 {
 
-/** Bump on any incompatible change to a component's save() layout. */
+/** Bump on any incompatible change to a component's io() layout. */
 constexpr std::uint32_t formatVersion =
     5; // v5: one chip format for any core count (a Machine is a
        // one-core chip); CPI stack carries provisional cycles
@@ -184,6 +189,257 @@ class Reader
     std::size_t size_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * One field walk for both directions: wraps a Writer (saving) or a
+ * Reader (loading). Each field method writes the field when saving and
+ * assigns it when loading; integer fields of any integral or enum type
+ * travel at the method's wire width. The helpers below cover the
+ * shapes that recur across components, each with the Reader-side check
+ * that keeps a corrupt or mismatched snapshot from being applied.
+ */
+class Archive
+{
+  public:
+    explicit Archive(Writer &w) : w_(&w) {}
+    explicit Archive(Reader &r) : r_(&r) {}
+
+    /** For a component whose two directions share no loop (only
+     *  MemoryImage): dispatch to its own save()/load(). */
+    bool saving() const { return w_ != nullptr; }
+    Writer &writer() { return *w_; }
+    Reader &reader() { return *r_; }
+
+    template <typename T> void u8(T &v) { io<std::uint8_t>(v); }
+    template <typename T> void u16(T &v) { io<std::uint16_t>(v); }
+    template <typename T> void u32(T &v) { io<std::uint32_t>(v); }
+    template <typename T> void u64(T &v) { io<std::uint64_t>(v); }
+    template <typename T> void i32(T &v) { io<std::int32_t>(v); }
+    template <typename T> void i64(T &v) { io<std::int64_t>(v); }
+    void b(bool &v)
+    {
+        if (w_)
+            w_->b(v);
+        else
+            v = r_->b();
+    }
+    void f64(double &v);
+    void str(std::string &s);
+    void bytes(void *data, std::size_t len);
+    void tag(const char *name);
+
+    /** A value stored through its `encode()` / `T::decode()` pair
+     *  (an Inst travels as its 64-bit encoding). */
+    template <typename T>
+    void encoded(T &v)
+    {
+        if (w_)
+            w_->u64(v.encode());
+        else
+            v = T::decode(r_->u64());
+    }
+
+    /** An enum stored as u8; the Reader rejects values >= @p end. */
+    template <typename E>
+    void enum8(E &e, E end, const char *what)
+    {
+        std::uint8_t v = static_cast<std::uint8_t>(e);
+        u8(v);
+        if (r_) {
+            if (v >= static_cast<std::uint8_t>(end)) [[unlikely]]
+                failRange(what, v, static_cast<std::uint64_t>(end));
+            e = static_cast<E>(v);
+        }
+    }
+
+    /** A u32 index the Reader rejects unless it is below @p bound. */
+    void index32(std::uint32_t &v, std::uint64_t bound, const char *what)
+    {
+        u32(v);
+        if (r_ && v >= bound) [[unlikely]]
+            failRange(what, v, bound);
+    }
+
+    /** Configuration, not state: the Writer writes @p have, the Reader
+     *  fails naming @p what unless it reads the same value back. N is
+     *  the wire width. */
+    template <typename N = std::uint32_t>
+    void check(std::uint64_t have, const std::string &what)
+    {
+        static_assert(sizeof(N) == 4 || sizeof(N) == 8);
+        N v = static_cast<N>(have);
+        io<N>(v);
+        if (r_ && v != have) [[unlikely]]
+            failCheck(what, v, have);
+    }
+    void check(const std::string &have, const std::string &what);
+
+    /**
+     * A variable-length container behind a count prefix: the Writer
+     * writes `c.size()`; the Reader reads a count, rejects one above
+     * @p max or above the bytes left in the stream (corrupt snapshot),
+     * and clears and resizes @p c to it. Then @p each walks every
+     * element. N is the count's wire width.
+     */
+    template <typename N = std::uint32_t, typename C, typename F>
+    void list(C &c, const char *what, std::uint64_t max, F &&each)
+    {
+        std::uint64_t n = count<N>(c.size(), what, max);
+        if (r_) {
+            c.clear();
+            c.resize(static_cast<std::size_t>(n));
+        }
+        for (auto &e : c)
+            each(e);
+    }
+    template <typename N = std::uint32_t, typename C, typename F>
+    void list(C &c, const char *what, F &&each)
+    {
+        list<N>(c, what, ~std::uint64_t{0}, each);
+    }
+
+    /** A container of fixed extent (configuration): its size is
+     *  written and checked as by check(), then @p each walks every
+     *  element. */
+    template <typename N = std::uint32_t, typename C, typename F>
+    void fixed(C &c, const std::string &what, F &&each)
+    {
+        check<N>(c.size(), what);
+        for (auto &e : c)
+            each(e);
+    }
+
+    /** An unordered set of u64 keys, emitted in ascending order so equal
+     *  state serializes (and hashes) equally; the Reader rejects keys
+     *  out of order. */
+    template <typename N = std::uint32_t, typename Set>
+    void sortedSet(Set &s, const char *what)
+    {
+        if (w_) {
+            std::vector<std::uint64_t> keys(s.begin(), s.end());
+            std::sort(keys.begin(), keys.end());
+            count<N>(keys.size(), what);
+            for (std::uint64_t key : keys)
+                w_->u64(key);
+            return;
+        }
+        std::uint64_t n = count<N>(0, what);
+        s.clear();
+        s.reserve(n); // one rehash, not log2(n) incremental ones
+        for (std::uint64_t i = 0, prev = 0; i < n; ++i)
+            s.insert(orderedKey(i, prev, what));
+    }
+
+    /** An unordered map from u64 keys, emitted like sortedSet();
+     *  @p value walks one mapped value. */
+    template <typename N = std::uint32_t, typename Map, typename F>
+    void sortedMap(Map &m, const char *what, F &&value)
+    {
+        if (w_) {
+            std::vector<std::uint64_t> keys;
+            keys.reserve(m.size());
+            for (const auto &kv : m)
+                keys.push_back(kv.first);
+            std::sort(keys.begin(), keys.end());
+            count<N>(keys.size(), what);
+            for (std::uint64_t key : keys) {
+                w_->u64(key);
+                value(m.at(key));
+            }
+            return;
+        }
+        std::uint64_t n = count<N>(0, what);
+        m.clear();
+        m.reserve(n);
+        for (std::uint64_t i = 0, prev = 0; i < n; ++i) {
+            std::uint64_t key = orderedKey(i, prev, what);
+            typename Map::mapped_type v{};
+            value(v);
+            m.emplace(key, v);
+        }
+    }
+
+  private:
+    template <typename W, typename T>
+    void io(T &v)
+    {
+        if (w_) {
+            W x = static_cast<W>(v);
+            if constexpr (sizeof(W) == 1)
+                w_->u8(x);
+            else if constexpr (sizeof(W) == 2)
+                w_->u16(x);
+            else if constexpr (sizeof(W) == 4)
+                w_->u32(static_cast<std::uint32_t>(x));
+            else
+                w_->u64(static_cast<std::uint64_t>(x));
+        } else {
+            W x;
+            if constexpr (sizeof(W) == 1)
+                x = r_->u8();
+            else if constexpr (sizeof(W) == 2)
+                x = r_->u16();
+            else if constexpr (sizeof(W) == 4)
+                x = static_cast<W>(r_->u32());
+            else
+                x = static_cast<W>(r_->u64());
+            v = static_cast<T>(x);
+        }
+    }
+
+    /** Count prefix at wire width N; the Reader bounds it by @p max
+     *  and by the bytes left (every element takes at least one). */
+    template <typename N>
+    std::uint64_t count(std::uint64_t have, const char *what,
+                        std::uint64_t max = ~std::uint64_t{0})
+    {
+        static_assert(sizeof(N) == 4 || sizeof(N) == 8);
+        N n = static_cast<N>(have);
+        io<N>(n);
+        if (r_ && (n > max || n > r_->remaining())) [[unlikely]]
+            failCount(what, n, max);
+        return n;
+    }
+
+    std::uint64_t orderedKey(std::uint64_t i, std::uint64_t &prev,
+                             const char *what)
+    {
+        std::uint64_t key = r_->u64();
+        if (i > 0 && key <= prev) [[unlikely]]
+            failOrder(what);
+        prev = key;
+        return key;
+    }
+
+    [[noreturn]] void failRange(const char *what, std::uint64_t v,
+                                std::uint64_t bound) const;
+    [[noreturn]] void failCheck(const std::string &what, std::uint64_t got,
+                                std::uint64_t want) const;
+    [[noreturn]] void failCount(const char *what, std::uint64_t n,
+                                std::uint64_t max) const;
+    [[noreturn]] void failOrder(const char *what) const;
+
+    Writer *w_ = nullptr;
+    Reader *r_ = nullptr;
+};
+
+/** Save @p x through its io() walk (which does not modify it). */
+template <typename T>
+void
+save(Writer &w, const T &x)
+{
+    Archive ar(w);
+    const_cast<T &>(x).io(ar);
+}
+
+/** Load @p x through its io() walk. */
+template <typename T>
+void
+load(Reader &r, T &x)
+{
+    Archive ar(r);
+    x.io(ar);
+}
 
 /** Write @p bytes to @p path atomically and durably (tmp file + fsync
  *  + rename + fsync of the containing directory, so the replacement

@@ -162,17 +162,6 @@ Broker::result(int worker, std::size_t job, const std::string &record,
     sink_.tryRecord(std::move(out));
 }
 
-void
-Broker::fail(int worker, std::size_t job, const std::string &error,
-             std::uint64_t nowMs)
-{
-    if (job >= info_.size())
-        return;
-    JobInfo &j = info_[job];
-    if (j.state == JobState::Leased && j.owner == worker)
-        releaseForRetry(job, error, nowMs);
-}
-
 std::size_t
 Broker::checkTimeouts(std::uint64_t nowMs)
 {

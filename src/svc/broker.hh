@@ -20,7 +20,7 @@
  *        (backoff)
  *
  * Attempts are counted at lease *grant*. A lease ends in exactly one
- * of: a result (Done), an explicit fail / worker death / heartbeat
+ * of: a result (Done), an invalid record / worker death / heartbeat
  * timeout (back to Pending after an exponential backoff, or
  * Quarantined once the attempt budget is spent). Late results from a
  * worker whose lease was already reassigned are still accepted if the
@@ -119,10 +119,6 @@ class Broker
      */
     void result(int worker, std::size_t job, const std::string &record,
                 std::uint64_t nowMs);
-
-    /** The worker reports a recoverable per-job failure. */
-    void fail(int worker, std::size_t job, const std::string &error,
-              std::uint64_t nowMs);
 
     /** Expire overdue leases; call periodically. @return the number
      *  of leases reclaimed. */

@@ -124,7 +124,7 @@ settleChild(Broker &broker, const std::vector<exp::JobSpec> &jobs,
             const ServeOptions &options, const Child &child, int status)
 {
     ::close(child.beatFd);
-    if (WIFSIGNALED(status))
+    if (WIFSIGNALED(status) && !options.quiet)
         inform("serve: worker w%u killed by signal %d", child.slot,
                WTERMSIG(status));
     const exp::JobSpec &job = jobs[child.job];
@@ -202,7 +202,7 @@ serveSweep(const exp::SweepSpec &spec, const ServeOptions &options)
         if (ec)
             warn("serve: cannot create profile cache '%s': %s",
                  cache.c_str(), ec.message().c_str());
-        else
+        else if (!options.quiet)
             inform("serve: sampled sweep; shared profile cache at '%s'",
                    cache.c_str());
     }

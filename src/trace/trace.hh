@@ -31,8 +31,7 @@
 
 namespace sst::snap
 {
-class Writer;
-class Reader;
+class Archive;
 } // namespace sst::snap
 
 namespace sst::trace
@@ -124,8 +123,7 @@ class TraceBuffer
 
     /** Serialize ring contents + cursors, so a restored run's trace
      *  stream continues byte-identically to an uninterrupted one. */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    void io(snap::Archive &ar);
 
   private:
     std::size_t capacity_;

@@ -4,8 +4,9 @@
  * primitives (including the on-the-wire little-endian byte layout the
  * cross-machine hash depends on), the corruption discipline (tag
  * mismatches and truncation are fatal, never silent), the FNV hash,
- * the atomic file helpers, and save/load round trips of the leaf
- * components (Rng, Distribution, StatGroup, TraceBuffer).
+ * the atomic file helpers, save/load round trips of the leaf
+ * components (Rng, Distribution, StatGroup, TraceBuffer), and the
+ * Archive's load-side checks on corrupt counts and indices.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "mem/cache.hh"
 #include "snap/snap.hh"
 #include "trace/trace.hh"
 
@@ -33,6 +35,14 @@ tmpPath(const std::string &stem)
 {
     return ::testing::TempDir() + "sstsim_" + stem + "_"
            + std::to_string(::getpid()) + ".snap";
+}
+
+/** Overwrite the little-endian u32 at @p at. */
+void
+poke32(std::vector<std::uint8_t> &bytes, std::size_t at, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 } // namespace
@@ -171,14 +181,14 @@ TEST(Snap, RngRoundTrip)
         (void)rng.next();
 
     snap::Writer w;
-    rng.save(w);
+    snap::save(w, rng);
     std::vector<std::uint64_t> expect;
     for (int i = 0; i < 100; ++i)
         expect.push_back(rng.next());
 
     Rng other(999); // deliberately different seed
     snap::Reader r(w.data());
-    other.load(r);
+    snap::load(r, other);
     r.done();
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(other.next(), expect[i]) << "draw " << i;
@@ -193,12 +203,12 @@ TEST(Snap, DistributionRoundTrip)
     d.sample(7, 12); // bulk path
 
     snap::Writer w;
-    d.save(w);
+    snap::save(w, d);
 
     Distribution e;
     e.init(100, 10); // geometry is config, re-established by init()
     snap::Reader r(w.data());
-    e.load(r);
+    snap::load(r, e);
     r.done();
 
     EXPECT_EQ(e.count(), d.count());
@@ -223,7 +233,7 @@ TEST(Snap, StatGroupRoundTripAndValidation)
     d.sample(13);
 
     snap::Writer w;
-    g.save(w);
+    snap::save(w, g);
 
     // Identically shaped tree: values transfer (and the formula,
     // being derived, recomputes from the restored scalars).
@@ -236,7 +246,7 @@ TEST(Snap, StatGroupRoundTripAndValidation)
     });
     {
         snap::Reader r(w.data());
-        g2.load(r);
+        snap::load(r, g2);
         r.done();
     }
     EXPECT_EQ(a2.value(), 1000u);
@@ -249,7 +259,7 @@ TEST(Snap, StatGroupRoundTripAndValidation)
     g3.addDist("occupancy", "dq occupancy", 64, 8);
     auto res = trapFatal([&] {
         snap::Reader r(w.data());
-        g3.load(r);
+        snap::load(r, g3);
     });
     EXPECT_FALSE(res.ok());
 }
@@ -271,18 +281,18 @@ TEST(Snap, TraceBufferRoundTrip)
     }
 
     snap::Writer w;
-    buf.save(w);
+    snap::save(w, buf);
 
     trace::TraceBuffer other(16);
     snap::Reader r(w.data());
-    other.load(r);
+    snap::load(r, other);
     r.done();
 
     // Capacity is configuration, not state: a mismatch is fatal.
     trace::TraceBuffer wrongCap(32);
     auto res = trapFatal([&] {
         snap::Reader r2(w.data());
-        wrongCap.load(r2);
+        snap::load(r2, wrongCap);
     });
     EXPECT_FALSE(res.ok());
 
@@ -384,4 +394,69 @@ TEST(Snap, ProbeSnapshotFileDiagnosesHeaderDamage)
     ASSERT_TRUE(snap::writeFile(versPath, good.data()).ok());
     EXPECT_TRUE(snap::probeSnapshotFile(versPath).ok());
     std::remove(versPath.c_str());
+}
+
+/** A cache's per-set MRU way hint indexes its set unchecked on every
+ *  lookup, so a corrupt hint must fail the load, not the next access. */
+TEST(Snap, CorruptCacheMruWayIsFatal)
+{
+    StatGroup sg("t");
+    CacheParams params{"c", 512, 2, 64, 3, ReplPolicy::Lru}; // 4 sets
+    Cache c(params, sg);
+    c.fill(0x100, 0, false);
+    snap::Writer w;
+    snap::save(w, c);
+
+    // tag "cache" (u32 length + 5 bytes), line count, 8 lines of
+    // 3 bools + 3 u64s, set count, then one u32 MRU way per set.
+    const std::size_t firstWay = 4 + 5 + 4 + 8 * (3 + 24) + 4;
+    std::vector<std::uint8_t> bytes = w.data();
+    poke32(bytes, firstWay + 4, 0x7f7f7f7f);
+
+    Cache fresh(params, sg);
+    {
+        snap::Reader r(w.data());
+        snap::load(r, fresh); // the untouched bytes load cleanly
+        r.done();
+    }
+    auto res = trapFatal([&] {
+        snap::Reader r(bytes);
+        snap::load(r, fresh);
+    });
+    ASSERT_FALSE(res.ok());
+    EXPECT_NE(res.error().message.find("MRU way"), std::string::npos)
+        << res.error().message;
+}
+
+/** A count prefix larger than the bytes left is corruption, rejected
+ *  before the container is resized to it. */
+TEST(Snap, CountBeyondStreamIsFatal)
+{
+    std::vector<std::uint64_t> v{1, 2, 3};
+    auto walk = [](snap::Archive &ar, std::vector<std::uint64_t> &x) {
+        ar.list(x, "test", [&](std::uint64_t &e) { ar.u64(e); });
+    };
+    snap::Writer w;
+    snap::Archive out(w);
+    walk(out, v);
+
+    std::vector<std::uint64_t> back;
+    {
+        snap::Reader r(w.data());
+        snap::Archive in(r);
+        walk(in, back);
+        r.done();
+    }
+    EXPECT_EQ(back, v);
+
+    std::vector<std::uint8_t> bytes = w.data();
+    poke32(bytes, 0, 0x7f7f7f7f);
+    auto res = trapFatal([&] {
+        snap::Reader r(bytes);
+        snap::Archive in(r);
+        walk(in, back);
+    });
+    ASSERT_FALSE(res.ok());
+    EXPECT_NE(res.error().message.find("bytes left"), std::string::npos)
+        << res.error().message;
 }
