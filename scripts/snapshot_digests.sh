@@ -32,8 +32,8 @@ digest() { # $1 = directory; prints paths relative to it, sorted
 }
 
 # Snapshot intervals: every run writes at least one snapshot (the
-# shortest, ooo-huge hash_join, takes 13K cycles) and none writes more
-# than ~45 (pointer_chase takes 26M cycles on the SST-family presets).
+# shortest, ooo-huge hash_join, takes 13K cycles; pointer_chase takes
+# about 0.7M on every preset) and none writes more than a few dozen.
 mkdir -p "$SCRATCH/runs"
 for preset in inorder scout ea sst2 sst4 sst8 ooo-small ooo-large \
     ooo-huge; do

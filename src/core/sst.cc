@@ -221,6 +221,9 @@ SstCore::defer(DqEntry entry, bool reserve_ssq_slot)
         ssq_.push_back(slot);
     }
     epochs_.back().dq.push_back(std::move(entry));
+    ++epochDeferrals_;
+    if (dqOccupancy() >= dqCapacity_)
+        epochDeferrals_ = std::max(epochDeferrals_, dqCapacity_);
 }
 
 void
@@ -568,31 +571,31 @@ SstCore::classifyIdle() const
             ic.wake = wake;
             return ic;
         }
-        if (inst.op == Opcode::JALR) {
-            bool is_return =
-                inst.rd == 0 && inst.rs1 == 1 && inst.imm == 0;
-            if (!is_return || ras_.empty()) {
-                // Unpredictable target: a pure stall until replay
-                // resolves the register.
-                ic.counter = &naJumpStallCycles_;
-                ic.wake = wake;
-                return ic;
-            }
-            if (params_.maxDeferredBranches != 0
-                && unverifiedBranches_ >= params_.maxDeferredBranches) {
-                ic.counter = &branchThrottleStallCycles_;
-                ic.wake = wake;
-                return ic;
-            }
-            return ic; // defers (pops the RAS) this cycle
+        if (inst.op == Opcode::JALR
+            && (!(inst.rd == 0 && inst.rs1 == 1 && inst.imm == 0)
+                || ras_.empty())) {
+            // Unpredictable target: a pure stall until replay resolves
+            // the register.
+            ic.counter = &naJumpStallCycles_;
+            ic.wake = wake;
+            return ic;
         }
-        if (isCondBranch(inst.op) && params_.maxDeferredBranches != 0
+        if ((inst.op == Opcode::JALR || isCondBranch(inst.op))
+            && params_.maxDeferredBranches != 0
             && unverifiedBranches_ >= params_.maxDeferredBranches) {
             ic.counter = &branchThrottleStallCycles_;
             ic.wake = wake;
             return ic;
         }
-        return ic; // defers this cycle
+        if (closedEpochStall()) {
+            // Released by the front epoch's commit, which the replay
+            // analysis above bounds.
+            ic.counter = &dqFullStallCycles_;
+            ic.cat = trace::CpiCat::DqFull;
+            ic.wake = wake;
+            return ic;
+        }
+        return ic; // defers (perhaps opening an epoch) this cycle
     }
 
     if (isLoad(inst.op) && !discard) {
@@ -611,7 +614,8 @@ SstCore::classifyIdle() const
             if (lo < hi)
                 mem_producer = st.seq;
         }
-        if (mem_producer != 0 && dqOccupancy() >= dqCapacity_) {
+        if (mem_producer != 0
+            && (dqOccupancy() >= dqCapacity_ || closedEpochStall())) {
             ic.counter = &dqFullStallCycles_;
             ic.cat = trace::CpiCat::DqFull;
             ic.wake = wake;
@@ -863,7 +867,33 @@ SstCore::takeCheckpoint(std::uint64_t trigger_pc, SeqNum start_seq)
               static_cast<unsigned long long>(trigger_pc),
               epochs_.size() + 1);
     epochs_.push_back(std::move(e));
+    epochDeferrals_ = 0;
     ++checkpointsTaken_;
+    return true;
+}
+
+bool
+SstCore::closedEpochStall() const
+{
+    return epochClosed() && !sleActive_ && !params_.discardSpecWork
+           && epochs_.size() >= params_.checkpoints && epochs_.size() == 1;
+}
+
+bool
+SstCore::openEpochAtDeferral(std::uint64_t pc)
+{
+    if (closedEpochStall()) {
+        // One checkpoint, already in use (execute-ahead): the paper's
+        // "stall the commit pipeline" choice, made on the ahead side.
+        ++dqFullStallCycles_;
+        noteStall(trace::CpiCat::DqFull);
+        return false;
+    }
+    // With every checkpoint in use, two or more epochs are open: the
+    // front one takes no new entries and drains by itself. An elided
+    // region stays one epoch.
+    if (epochClosed() && !sleActive_ && !params_.discardSpecWork)
+        takeCheckpoint(pc, nextSeq_);
     return true;
 }
 
@@ -972,29 +1002,32 @@ SstCore::aheadIssueOne()
             noteStall(trace::CpiCat::SsqFull);
             return false;
         }
+        // Indirect jump with an unknown target: only a return can be
+        // predicted (via the RAS); anything else stalls the strand until
+        // the replay resolves the register.
+        if (inst.op == Opcode::JALR
+            && (!(inst.rd == 0 && inst.rs1 == 1 && inst.imm == 0)
+                || ras_.empty())) {
+            ++naJumpStallCycles_;
+            return false;
+        }
+        // Every check that can fail comes before the first mutation: a
+        // stalled attempt must not pop the RAS, consume a seq or open an
+        // epoch (each would repeat per stalled cycle).
+        if ((inst.op == Opcode::JALR || isCondBranch(inst.op))
+            && params_.maxDeferredBranches != 0
+            && unverifiedBranches_ >= params_.maxDeferredBranches) {
+            ++branchThrottleStallCycles_;
+            return false;
+        }
+        if (!openEpochAtDeferral(pc))
+            return false;
 
         DqEntry entry;
         entry.pc = pc;
         entry.inst = inst;
 
         if (inst.op == Opcode::JALR) {
-            // Indirect jump with an unknown target: only a return can be
-            // predicted (via the RAS); anything else stalls the strand
-            // until the replay resolves the register.
-            bool is_return =
-                inst.rd == 0 && inst.rs1 == 1 && inst.imm == 0;
-            if (!is_return || ras_.empty()) {
-                ++naJumpStallCycles_;
-                return false;
-            }
-            // Check the throttle before popping: a failing attempt must
-            // not mutate the RAS (it would drain an entry per stalled
-            // cycle).
-            if (params_.maxDeferredBranches != 0
-                && unverifiedBranches_ >= params_.maxDeferredBranches) {
-                ++branchThrottleStallCycles_;
-                return false;
-            }
             std::uint64_t pred = ras_.pop();
             ++unverifiedBranches_;
             entry.seq = nextSeq_++;
@@ -1015,12 +1048,6 @@ SstCore::aheadIssueOne()
         entry.src2 = make_operand(info.readsRs2, na2, inst.rs2, v2);
 
         if (isCondBranch(inst.op)) {
-            if (params_.maxDeferredBranches != 0
-                && unverifiedBranches_ >= params_.maxDeferredBranches) {
-                ++branchThrottleStallCycles_;
-                nextSeq_ = entry.seq; // un-consume the sequence number
-                return false;
-            }
             ++unverifiedBranches_;
             entry.predHistory = predictor_->snapshotHistory();
             entry.predTaken = predictor_->predict(pc);
@@ -1106,6 +1133,8 @@ SstCore::aheadIssueOne()
                 noteStall(trace::CpiCat::DqFull);
                 return false;
             }
+            if (!openEpochAtDeferral(pc))
+                return false;
             DqEntry entry;
             entry.seq = nextSeq_++;
             entry.pc = pc;
@@ -1131,9 +1160,14 @@ SstCore::aheadIssueOne()
             return false;
         }
 
+        // A miss the DQ cannot take (full, or its one epoch closed)
+        // is issued and scoreboarded like a hit instead: the port has
+        // already been probed, so stalling would re-probe every cycle.
         bool wants_defer = !res.l1Hit
                            && (!params_.deferOnL2MissOnly || !res.l2Hit);
-        if (wants_defer && (discard || dqOccupancy() < dqCapacity_)) {
+        if (wants_defer
+            && (discard
+                || (dqOccupancy() < dqCapacity_ && !closedEpochStall()))) {
             // A further miss: open a new epoch when a checkpoint is
             // free, otherwise grow the current one.
             SeqNum seq = nextSeq_++;
@@ -1188,7 +1222,7 @@ SstCore::aheadIssueOne()
             return true;
         }
 
-        // Hit (or DQ full: treat the miss as a scoreboarded stall).
+        // Hit (or a miss the DQ cannot take: a scoreboarded stall).
         SeqNum seq = nextSeq_++;
         std::uint64_t raw = specMemRead(addr, size, seq);
         std::uint64_t val = semantics::extendLoad(inst.op, raw);
@@ -1634,6 +1668,7 @@ SstCore::commitAll()
     loadLog_.clear();
     replayResults_.clear();
     epochs_.clear();
+    epochDeferrals_ = 0;
     regReady_ = specReady_;
     frontEndReadyAt_ = aheadFrontEndReadyAt_;
     divBusyUntil_ = aheadDivBusyUntil_;
@@ -1727,6 +1762,7 @@ SstCore::rollback(FailKind kind)
     lastRollbackCommitted_ = committed_.value();
 
     epochs_.clear();
+    epochDeferrals_ = 0;
     ssq_.clear();
     loadLog_.clear();
     replayResults_.clear();
@@ -1839,6 +1875,7 @@ SstCore::ioExtra(snap::Archive &ar)
     ar.u32(dqCapacity_);
     ar.u32(ssqCapacity_);
     ar.u32(unverifiedBranches_);
+    ar.u32(epochDeferrals_);
 
     ar.list(epochs_, "epoch", [&](Epoch &ep) {
         ar.u32(ep.id);

@@ -183,6 +183,15 @@ class SstCore : public Core, public CohClient
     // --- speculation control ---
     void enterSpeculation(std::uint64_t trigger_pc, Cycle trigger_ready);
     bool takeCheckpoint(std::uint64_t trigger_pc, SeqNum start_seq);
+    /** The epoch-boundary rule at a deferral of the instruction at
+     *  @p pc, applied just before it is deferred: once the youngest
+     *  epoch is closed, open a new epoch there if a checkpoint is
+     *  free. Returns false (a dq_full stall) when closedEpochStall()
+     *  holds. */
+    bool openEpochAtDeferral(std::uint64_t pc);
+    /** The youngest epoch is closed, no checkpoint is free and it is
+     *  the only one open: no deferral may join it until it commits. */
+    bool closedEpochStall() const;
     void commitOldestEpoch();
     void commitAll();
     void rollback(FailKind kind);
@@ -285,6 +294,19 @@ class SstCore : public Core, public CohClient
     unsigned unverifiedBranches_ = 0;
 
     std::deque<Epoch> epochs_;
+    /** Deferrals into the youngest epoch since it opened, raised to
+     *  the DQ's capacity when the DQ fills. At the capacity the epoch
+     *  is closed (epochClosed()): the next deferral opens a new one
+     *  (openEpochAtDeferral). Without this, a dependent-miss chain
+     *  (whose later loads all have NA addresses, so none opens a
+     *  checkpoint) keeps refilling the one open epoch from the slots
+     *  its replay frees, and that epoch never drains; the count also
+     *  closes an epoch whose replay keeps pace with its deferrals, so
+     *  the DQ never fills. Reset when an epoch opens, on a full commit
+     *  and on rollback; ignored while eliding a lock and in scout
+     *  mode. */
+    unsigned epochDeferrals_ = 0;
+    bool epochClosed() const { return epochDeferrals_ >= dqCapacity_; }
     std::vector<SsqEntry> ssq_; ///< sorted by seq
     std::vector<SpecLoad> loadLog_;
     /** Values produced by the behind strand, keyed by producer seq.

@@ -175,6 +175,9 @@ MemoryImage::save(snap::Writer &w) const
             keys.push_back(kv.first);
     std::sort(keys.begin(), keys.end());
 
+    // One allocation for every page rather than a doubling buffer's
+    // repeated copies of the whole stream.
+    w.reserve(64 + keys.size() * (sizeof(Addr) + pageSize));
     w.tag("memimage");
     w.u64(keys.size());
     for (Addr key : keys) {

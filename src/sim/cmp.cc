@@ -652,7 +652,7 @@ Cmp::fileIo(snap::Archive &ar)
 std::uint64_t
 Cmp::stateHash() const
 {
-    snap::Writer w;
+    snap::Writer w = snap::Writer::hashing();
     snap::Archive ar(w);
     const_cast<Cmp *>(this)->stateIo(ar);
     return w.hash();
@@ -662,9 +662,13 @@ std::vector<std::uint8_t>
 Cmp::snapshot() const
 {
     snap::Writer w;
+    // Last snapshot's size plus slack: one allocation, where a growing
+    // buffer would copy (and fault in) the multi-MB image twice over.
+    w.reserve(snapshotBytes_ + snapshotBytes_ / 8);
     snap::Archive ar(w);
     const_cast<Cmp *>(this)->fileIo(ar);
-    return w.data();
+    snapshotBytes_ = w.size();
+    return w.release();
 }
 
 void

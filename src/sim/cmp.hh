@@ -259,6 +259,8 @@ class Cmp
      *  barriers. Empty otherwise. */
     std::vector<std::unique_ptr<OverlayImage>> views_;
     OverlayShared overlayShared_;
+    /** Size of the last snapshot(), reserved up front by the next. */
+    mutable std::size_t snapshotBytes_ = 0;
     std::vector<std::unique_ptr<Core>> cores_;
     std::vector<std::unique_ptr<Watchdog>> watchdogs_;
     trace::TraceBuffer *traceBuf_ = nullptr;

@@ -93,7 +93,7 @@ serializeMember(const ProfileLibrary &lib, const ProfileRegion &region,
     memberStateIo(ar, cursor, memsys, image);
     std::uint64_t sum = w.hash();
     w.u64(sum);
-    return w.data();
+    return w.release();
 }
 
 bool

@@ -54,6 +54,12 @@ Writer::str(const std::string &s)
 void
 Writer::bytes(const void *data, std::size_t len)
 {
+    if (hashOnly_) {
+        folded_ = fnv1a(buf_.data(), buf_.size(), folded_);
+        folded_ = fnv1a(data, len, folded_);
+        buf_.clear();
+        return;
+    }
     const auto *p = static_cast<const std::uint8_t *>(data);
     buf_.insert(buf_.end(), p, p + len);
 }
@@ -67,7 +73,7 @@ Writer::tag(const char *name)
 std::uint64_t
 Writer::hash() const
 {
-    return fnv1a(buf_.data(), buf_.size());
+    return fnv1a(buf_.data(), buf_.size(), folded_);
 }
 
 void

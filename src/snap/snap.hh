@@ -36,15 +36,19 @@ namespace sst::snap
 
 /** Bump on any incompatible change to a component's io() layout. */
 constexpr std::uint32_t formatVersion =
-    5; // v5: one chip format for any core count (a Machine is a
-       // one-core chip); CPI stack carries provisional cycles
+    6; // v6: SST cores carry the youngest epoch's deferral count
+       // (v5: one chip format for any core count; CPI stack carries
+       // provisional cycles)
 
 /** Leading bytes of every snapshot file. */
 constexpr std::uint64_t fileMagic = 0x30504e53'54535353ULL; // "SSSTSNP0"
 
+/** FNV-1a 64-bit offset basis. */
+constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ULL;
+
 /** FNV-1a 64-bit over @p len bytes, chained from @p seed. */
 std::uint64_t fnv1a(const void *data, std::size_t len,
-                    std::uint64_t seed = 0xcbf29ce484222325ULL);
+                    std::uint64_t seed = fnvBasis);
 
 /** Incremental FNV-1a accumulator for component-wise state hashing. */
 class Hasher
@@ -58,32 +62,32 @@ class Hasher
     std::uint64_t value() const { return hash_; }
 
   private:
-    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+    std::uint64_t hash_ = fnvBasis;
 };
 
 /** Append-only little-endian encoder. */
 class Writer
 {
   public:
+    /** A Writer that keeps no stream, only its hash(): buffered bytes
+     *  are folded into the FNV state at every bytes() call (so a
+     *  memory image's pages are hashed in place, never copied), and
+     *  hash() equals a plain Writer's over the same writes. data() and
+     *  release() hold only the bytes since the last fold. */
+    static Writer hashing()
+    {
+        Writer w;
+        w.hashOnly_ = true;
+        return w;
+    }
+
     // The fixed-width writers are inline: cache and image save loops
     // emit millions of these and the call overhead across translation
     // units would dominate the actual byte stores.
     void u8(std::uint8_t v) { buf_.push_back(v); }
-    void u16(std::uint16_t v)
-    {
-        u8(static_cast<std::uint8_t>(v));
-        u8(static_cast<std::uint8_t>(v >> 8));
-    }
-    void u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-    void u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    void u16(std::uint16_t v) { put(v); }
+    void u32(std::uint32_t v) { put(v); }
+    void u64(std::uint64_t v) { put(v); }
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     void b(bool v) { u8(v ? 1 : 0); }
@@ -96,12 +100,34 @@ class Writer
 
     const std::vector<std::uint8_t> &data() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
+    /** Make room for @p n more bytes in one allocation. */
+    void reserve(std::size_t n)
+    {
+        if (!hashOnly_)
+            buf_.reserve(buf_.size() + n);
+    }
+    /** Move the stream out; write nothing more afterwards. */
+    std::vector<std::uint8_t> release() { return std::move(buf_); }
 
     /** FNV-1a over everything written so far. */
     std::uint64_t hash() const;
 
   private:
+    /** Append @p v little-endian with one capacity check, not one per
+     *  byte. */
+    template <typename U>
+    void put(U v)
+    {
+        std::uint8_t le[sizeof(U)];
+        for (std::size_t i = 0; i < sizeof(U); ++i)
+            le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        buf_.insert(buf_.end(), le, le + sizeof(U));
+    }
+
     std::vector<std::uint8_t> buf_;
+    bool hashOnly_ = false;
+    /** FNV-1a state of the bytes already folded out of buf_. */
+    std::uint64_t folded_ = fnvBasis;
 };
 
 /** Bounds-checked little-endian decoder over a byte span. */

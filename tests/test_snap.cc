@@ -460,3 +460,35 @@ TEST(Snap, CountBeyondStreamIsFatal)
     EXPECT_NE(res.error().message.find("bytes left"), std::string::npos)
         << res.error().message;
 }
+
+/** A hashing Writer folds its bytes into the FNV at every bytes() call
+ *  and keeps no stream; its hash() must equal a buffering Writer's over
+ *  the same writes, however the writes interleave with bulk blocks. */
+TEST(Snap, HashingWriterMatchesBufferedHash)
+{
+    std::vector<std::uint8_t> block(10'000);
+    for (std::size_t i = 0; i < block.size(); ++i)
+        block[i] = static_cast<std::uint8_t>(i * 7);
+    auto fill = [&](snap::Writer &w) {
+        w.tag("section");
+        for (std::uint64_t i = 0; i < 100; ++i) {
+            w.u64(i * 0x9e3779b97f4a7c15ULL);
+            w.u8(static_cast<std::uint8_t>(i));
+            w.u16(static_cast<std::uint16_t>(i * 3));
+            w.u32(static_cast<std::uint32_t>(i * 5));
+            w.b(i % 2 == 0);
+            if (i % 10 == 0)
+                w.bytes(block.data(), block.size());
+        }
+        w.str("tail");
+        w.f64(-0.5);
+    };
+    snap::Writer buffered;
+    snap::Writer hashing = snap::Writer::hashing();
+    fill(buffered);
+    fill(hashing);
+    EXPECT_EQ(hashing.hash(), buffered.hash());
+    EXPECT_EQ(buffered.hash(),
+              snap::fnv1a(buffered.data().data(), buffered.size()));
+    EXPECT_LT(hashing.size(), 2'000u); // only bytes since the last fold
+}

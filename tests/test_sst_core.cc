@@ -55,6 +55,22 @@ independentMisses(int n)
     return src;
 }
 
+/** A linked list of @p n nodes one page apart: every hop misses, and
+ *  after the first every hop's address is NA (a dependent chain). */
+std::string
+dependentChain(int n)
+{
+    std::string src = "li x1, 0x400000\nli x7, " + std::to_string(n)
+                      + "\nloop:\nld x1, 0(x1)\naddi x7, x7, -1\n"
+                        "bne x7, x0, loop\nhalt\n.data 0x400000\n";
+    for (int i = 0; i < n; ++i) {
+        src += ".word " + std::to_string(0x400000 + (i + 1) * 4096) + "\n";
+        if (i != n - 1)
+            src += ".space 4088\n";
+    }
+    return src;
+}
+
 } // namespace
 
 TEST(SstCore, EntersSpeculationOnMiss)
@@ -520,4 +536,71 @@ TEST(SstCore, JalrReturnPredictedViaRas)
     r.run();
     EXPECT_TRUE(r.core->halted());
     EXPECT_TRUE(r.archMatchesGolden());
+}
+
+TEST(SstCore, DependentChainOpensEpochsAtNaDeferrals)
+{
+    // Every hop after the trigger defers with an NA address, so no hop
+    // opens a checkpoint by missing. Once a DQ's worth has deferred, the
+    // epoch closes and the next deferral opens a new one: the chain
+    // commits epoch by epoch instead of in one region at HALT.
+    std::string src = dependentChain(40);
+    CoreRun in = makeRun("inorder", src);
+    CoreRun sst = makeRun("sst", src, sstParams(2, false, 8));
+    Cycle ci = in.run();
+    Cycle cs = sst.run();
+    EXPECT_TRUE(sst.core->halted());
+    EXPECT_TRUE(sst.archMatchesGolden());
+    EXPECT_GE(stat(*sst.core, ".epochs_committed"), 4.0);
+    EXPECT_EQ(stat(*sst.core, ".fail_forced"), 0.0);
+    EXPECT_LE(static_cast<double>(cs), 1.05 * static_cast<double>(ci));
+}
+
+TEST(SstCore, ExecuteAheadStallsOnClosedEpoch)
+{
+    // One checkpoint: with the epoch closed there is none to open, so
+    // the next deferral waits (charged to dq_full) until the epoch
+    // drains and commits, then normal mode re-triggers on the next hop.
+    std::string src = dependentChain(40);
+    CoreRun in = makeRun("inorder", src);
+    CoreRun ea = makeRun("sst", src, sstParams(1, false, 8));
+    Cycle ci = in.run();
+    Cycle ce = ea.run();
+    EXPECT_TRUE(ea.core->halted());
+    EXPECT_TRUE(ea.archMatchesGolden());
+    EXPECT_GE(stat(*ea.core, ".full_commits"), 4.0);
+    EXPECT_GT(stat(*ea.core, ".dq_full_stalls"), 0.0);
+    EXPECT_GT(stat(*ea.core, ".cpi_stack.dq_full"), 0.0);
+    EXPECT_LE(static_cast<double>(ce), 1.05 * static_cast<double>(ci));
+}
+
+TEST(SstCore, EpochClosesAfterDqWorthOfDeferralsWithoutFilling)
+{
+    // One independent miss per iteration, summed into a running total:
+    // each iteration defers the load and the add. The divide paces the
+    // loop so about 45 entries are in flight, well below a 128-entry
+    // DQ, and a fresh miss is always outstanding, so the one epoch of
+    // an execute-ahead core would never drain before HALT. It closes
+    // after a DQ's worth of deferrals instead.
+    const char *src = R"(
+        li   x1, 0x400000
+        li   x7, 200
+        li   x9, 0
+        li   x20, 1000
+        li   x21, 3
+    loop:
+        ld   x2, 0(x1)
+        add  x9, x9, x2
+        addi x1, x1, 4096
+        div  x22, x20, x21
+        addi x7, x7, -1
+        bne  x7, x0, loop
+        halt
+    )";
+    CoreRun r = makeRun("sst", src, sstParams(1, false, 128));
+    r.run();
+    EXPECT_TRUE(r.core->halted());
+    EXPECT_TRUE(r.archMatchesGolden());
+    // 400 deferrals, 128 per epoch.
+    EXPECT_GE(stat(*r.core, ".full_commits"), 3.0);
 }
