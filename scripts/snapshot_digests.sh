@@ -16,14 +16,23 @@
 #   scripts/snapshot_digests.sh /path/to/parent/sstsim > old.txt
 #   diff old.txt new.txt
 #
+# A change that moves snapshot bytes on purpose (a formatVersion bump)
+# changes every line; name a scratch directory for each build to keep
+# the files, and `cmp -l` them to see which bytes moved.
+#
 # Usage: scripts/snapshot_digests.sh [sstsim-binary] [scratch-dir]
 #   sstsim-binary: default build/tools/sstsim
-#   scratch-dir:   default a fresh mktemp -d (removed on success)
+#   scratch-dir:   kept; default a fresh mktemp -d (removed on success)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SSTSIM="${1:-build/tools/sstsim}"
-SCRATCH="${2:-$(mktemp -d /tmp/sst-digests.XXXXXX)}"
+SCRATCH="${2:-}"
+KEEP=1
+if [ -z "$SCRATCH" ]; then
+    SCRATCH=$(mktemp -d /tmp/sst-digests.XXXXXX)
+    KEEP=0
+fi
 mkdir -p "$SCRATCH"
 
 digest() { # $1 = directory; prints paths relative to it, sorted
@@ -65,4 +74,4 @@ if [ "$code" -ne 6 ]; then
 fi
 digest "$SCRATCH/sweep" 'job-*.snap' | sed 's|  |  sweep/|'
 
-rm -rf "$SCRATCH"
+[ "$KEEP" = 1 ] || rm -rf "$SCRATCH"

@@ -130,6 +130,8 @@ Cmp::Cmp(const MachineConfig &config,
     : config_(config), programs_(programs), memsys_(config.mem)
 {
     fatal_if(programs.empty(), "Cmp needs at least one program");
+    for (const Program *program : programs)
+        fingerprints_.push_back(programFingerprint(*program));
     const bool shared = memsys_.coherent();
     // A lone core has no neighbour to hide its writes from or to
     // squash: it runs straight on the image, with nothing buffered.
@@ -627,15 +629,14 @@ Cmp::fileIo(snap::Archive &ar)
     ar.check(config_.presetName, "preset");
     ar.check(config_.model, "core model");
     ar.check(cores_.size(), "core count");
-    for (const Program *program : programs_) {
-        ar.check(program->name(), "workload");
-        const std::uint64_t want = programFingerprint(*program);
-        std::uint64_t fp = want;
+    for (std::size_t i = 0; i < programs_.size(); ++i) {
+        ar.check(programs_[i]->name(), "workload");
+        std::uint64_t fp = fingerprints_[i];
         ar.u64(fp);
-        fatal_if(fp != want,
+        fatal_if(fp != fingerprints_[i],
                  "snapshot: program '%s' differs from the one "
                  "snapshotted",
-                 program->name().c_str());
+                 programs_[i]->name().c_str());
     }
     stateIo(ar);
     ar.tag("trace");

@@ -217,7 +217,7 @@ class Cmp
     Result<void> snapshotToFile(const std::string &path) const;
     Result<void> restoreFromFile(const std::string &path);
 
-    /** FNV-1a 64 over the complete serialized chip state. Equal hashes
+    /** XXH64 over the complete serialized chip state. Equal hashes
      *  at equal cycles ⇒ byte-identical future behaviour. */
     std::uint64_t stateHash() const;
 
@@ -252,6 +252,9 @@ class Cmp
 
     MachineConfig config_;
     const std::vector<const Program *> programs_;
+    /** programFingerprint() of each of programs_, hashed once here
+     *  rather than at every snapshot() and restore(). */
+    std::vector<std::uint64_t> fingerprints_;
     MemorySystem memsys_;
     std::vector<std::unique_ptr<MemoryImage>> images_;
     /** Coherent chips of two or more cores only: per-core

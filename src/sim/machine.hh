@@ -63,7 +63,7 @@ class Machine
      */
     void stepTo(Cycle target) { chip_.stepTo(target); }
 
-    /** FNV-1a 64 over the complete serialized machine state. Equal
+    /** XXH64 over the complete serialized machine state. Equal
      *  hashes at equal cycles ⇒ byte-identical future behaviour. */
     std::uint64_t stateHash() const { return chip_.stateHash(); }
 

@@ -69,7 +69,7 @@ memberStateIo(snap::Archive &ar, ArchState &cursor, MemorySystem &memsys,
 }
 
 /** Serialize one selected region's warm start state. The trailing u64
- *  is an FNV-1a checksum over every preceding byte, so triage can
+ *  is an XXH64 checksum over every preceding byte, so triage can
  *  reject arbitrary corruption without deserializing anything. The
  *  identity header is written from the library here and checked
  *  against the run's own identity in readMemberHeader(). */
@@ -105,7 +105,7 @@ memberChecksumOk(const std::vector<std::uint8_t> &bytes)
     std::uint64_t stored = 0;
     for (int i = 0; i < 8; ++i)
         stored |= static_cast<std::uint64_t>(bytes[body + i]) << (8 * i);
-    return snap::fnv1a(bytes.data(), body) == stored;
+    return snap::hash64(bytes.data(), body) == stored;
 }
 
 /** Read and validate a member header against the run's identity;

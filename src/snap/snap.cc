@@ -1,6 +1,7 @@
 #include "snap/snap.hh"
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +26,96 @@ fnv1a(const void *data, std::size_t len, std::uint64_t seed)
     return h;
 }
 
+namespace
+{
+
+// XXH64's five primes, from the specification.
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ULL;
+
+/** Little-endian load, whatever the host's byte order. A plain load
+ *  where that is the host's order: GCC leaves the byte loop a loop. */
+template <typename U>
+U
+loadLe(const std::uint8_t *p)
+{
+    U v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof(v));
+    } else {
+        for (std::size_t i = 0; i < sizeof(U); ++i)
+            v |= static_cast<U>(p[i]) << (8 * i);
+    }
+    return v;
+}
+
+std::uint64_t
+xxRound(std::uint64_t acc, std::uint64_t input)
+{
+    acc += input * kPrime2;
+    return std::rotl(acc, 31) * kPrime1;
+}
+
+std::uint64_t
+xxMerge(std::uint64_t h, std::uint64_t lane)
+{
+    h ^= xxRound(0, lane);
+    return h * kPrime1 + kPrime4;
+}
+
+/** Fold whole 32-byte stripes of @p p into @p lanes; returns the bytes
+ *  consumed (a multiple of 32, at most @p len). */
+std::size_t
+xxStripes(std::uint64_t lanes[4], const std::uint8_t *p, std::size_t len)
+{
+    std::uint64_t v1 = lanes[0], v2 = lanes[1], v3 = lanes[2],
+                  v4 = lanes[3];
+    std::size_t done = 0;
+    for (; len - done >= 32; done += 32) {
+        v1 = xxRound(v1, loadLe<std::uint64_t>(p + done));
+        v2 = xxRound(v2, loadLe<std::uint64_t>(p + done + 8));
+        v3 = xxRound(v3, loadLe<std::uint64_t>(p + done + 16));
+        v4 = xxRound(v4, loadLe<std::uint64_t>(p + done + 24));
+    }
+    lanes[0] = v1;
+    lanes[1] = v2;
+    lanes[2] = v3;
+    lanes[3] = v4;
+    return done;
+}
+
+} // namespace
+
+Hasher::Hasher() : lanes_{kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1} {}
+
+void
+Hasher::mix(const void *data, std::size_t len)
+{
+    if (len == 0)
+        return; // data may be null (an empty vector's)
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    total_ += len;
+    if (bufLen_ + len < sizeof(buf_)) {
+        std::memcpy(buf_ + bufLen_, p, len);
+        bufLen_ += static_cast<std::uint32_t>(len);
+        return;
+    }
+    if (bufLen_ > 0) {
+        std::size_t fill = sizeof(buf_) - bufLen_;
+        std::memcpy(buf_ + bufLen_, p, fill);
+        xxStripes(lanes_, buf_, sizeof(buf_));
+        p += fill;
+        len -= fill;
+        bufLen_ = 0;
+    }
+    std::size_t done = xxStripes(lanes_, p, len);
+    bufLen_ = static_cast<std::uint32_t>(len - done);
+    std::memcpy(buf_, p + done, bufLen_);
+}
+
 void
 Hasher::mixU64(std::uint64_t v)
 {
@@ -32,6 +123,45 @@ Hasher::mixU64(std::uint64_t v)
     for (int i = 0; i < 8; ++i)
         le[i] = static_cast<std::uint8_t>(v >> (8 * i));
     mix(le, sizeof(le));
+}
+
+std::uint64_t
+Hasher::value() const
+{
+    std::uint64_t h;
+    if (total_ >= 32) {
+        h = std::rotl(lanes_[0], 1) + std::rotl(lanes_[1], 7)
+            + std::rotl(lanes_[2], 12) + std::rotl(lanes_[3], 18);
+        for (std::uint64_t lane : lanes_)
+            h = xxMerge(h, lane);
+    } else {
+        h = kPrime5;
+    }
+    h += total_;
+
+    const std::uint8_t *p = buf_;
+    std::size_t len = bufLen_;
+    for (; len >= 8; p += 8, len -= 8) {
+        h ^= xxRound(0, loadLe<std::uint64_t>(p));
+        h = std::rotl(h, 27) * kPrime1 + kPrime4;
+    }
+    if (len >= 4) {
+        h ^= loadLe<std::uint32_t>(p) * kPrime1;
+        h = std::rotl(h, 23) * kPrime2 + kPrime3;
+        p += 4;
+        len -= 4;
+    }
+    for (; len > 0; ++p, --len) {
+        h ^= *p * kPrime5;
+        h = std::rotl(h, 11) * kPrime1;
+    }
+
+    h ^= h >> 33;
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    h ^= h >> 32;
+    return h;
 }
 
 void
@@ -55,8 +185,8 @@ void
 Writer::bytes(const void *data, std::size_t len)
 {
     if (hashOnly_) {
-        folded_ = fnv1a(buf_.data(), buf_.size(), folded_);
-        folded_ = fnv1a(data, len, folded_);
+        folded_.mix(buf_.data(), buf_.size());
+        folded_.mix(data, len);
         buf_.clear();
         return;
     }
@@ -73,7 +203,9 @@ Writer::tag(const char *name)
 std::uint64_t
 Writer::hash() const
 {
-    return fnv1a(buf_.data(), buf_.size(), folded_);
+    Hasher h = folded_;
+    h.mix(buf_.data(), buf_.size());
+    return h.value();
 }
 
 void

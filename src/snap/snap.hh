@@ -12,7 +12,7 @@
  * mismatched snapshot fails with a named location instead of silently
  * misaligned reads. Writer output is a pure function of the saved
  * state — no pointers, no map iteration order, no host endianness —
- * which is what makes the FNV state hash (and the `sstsim diff`
+ * which is what makes the XXH64 state hash (and the `sstsim diff`
  * divergence search built on it) meaningful across processes and
  * machines.
  *
@@ -34,11 +34,12 @@
 namespace sst::snap
 {
 
-/** Bump on any incompatible change to a component's io() layout. */
+/** Bump on any incompatible change to a component's io() layout, or
+ *  to the hash behind fingerprints and checksums. */
 constexpr std::uint32_t formatVersion =
-    6; // v6: SST cores carry the youngest epoch's deferral count
-       // (v5: one chip format for any core count; CPI stack carries
-       // provisional cycles)
+    7; // v7: XXH64 replaces FNV-1a in program fingerprints, profile
+       // member checksums and cache keys
+       // (v6: SST cores carry the youngest epoch's deferral count)
 
 /** Leading bytes of every snapshot file. */
 constexpr std::uint64_t fileMagic = 0x30504e53'54535353ULL; // "SSSTSNP0"
@@ -46,31 +47,53 @@ constexpr std::uint64_t fileMagic = 0x30504e53'54535353ULL; // "SSSTSNP0"
 /** FNV-1a 64-bit offset basis. */
 constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ULL;
 
-/** FNV-1a 64-bit over @p len bytes, chained from @p seed. */
+/** FNV-1a 64-bit over @p len bytes, chained from @p seed. The
+ *  simulator itself hashes with XXH64 (Hasher, hash64); this stays for
+ *  perfbench, whose result digests are defined over it. */
 std::uint64_t fnv1a(const void *data, std::size_t len,
                     std::uint64_t seed = fnvBasis);
 
-/** Incremental FNV-1a accumulator for component-wise state hashing. */
+/**
+ * Streaming XXH64 (Yann Collet's xxHash, 64-bit variant, per its
+ * published specification), seed 0: the simulator's one hash, behind state
+ * hashes, program fingerprints, profile-member checksums and cache
+ * keys. Four independent multiply lanes consume 32-byte stripes, so a
+ * bulk mix() runs at memory speed rather than one dependent multiply
+ * per byte. Bytes fed in any split hash as their concatenation would
+ * in one hash64() call.
+ */
 class Hasher
 {
   public:
-    void mix(const void *data, std::size_t len)
-    {
-        hash_ = fnv1a(data, len, hash_);
-    }
+    Hasher();
+
+    void mix(const void *data, std::size_t len);
     void mixU64(std::uint64_t v);
-    std::uint64_t value() const { return hash_; }
+    /** XXH64 of everything mixed so far; mixing may continue. */
+    std::uint64_t value() const;
 
   private:
-    std::uint64_t hash_ = fnvBasis;
+    std::uint64_t lanes_[4];
+    std::uint64_t total_ = 0;
+    std::uint8_t buf_[32];
+    std::uint32_t bufLen_ = 0;
 };
+
+/** XXH64 (seed 0) of @p len bytes, in one call. */
+inline std::uint64_t
+hash64(const void *data, std::size_t len)
+{
+    Hasher h;
+    h.mix(data, len);
+    return h.value();
+}
 
 /** Append-only little-endian encoder. */
 class Writer
 {
   public:
     /** A Writer that keeps no stream, only its hash(): buffered bytes
-     *  are folded into the FNV state at every bytes() call (so a
+     *  are folded into the hash state at every bytes() call (so a
      *  memory image's pages are hashed in place, never copied), and
      *  hash() equals a plain Writer's over the same writes. data() and
      *  release() hold only the bytes since the last fold. */
@@ -109,7 +132,7 @@ class Writer
     /** Move the stream out; write nothing more afterwards. */
     std::vector<std::uint8_t> release() { return std::move(buf_); }
 
-    /** FNV-1a over everything written so far. */
+    /** XXH64 (hash64) over everything written so far. */
     std::uint64_t hash() const;
 
   private:
@@ -126,8 +149,8 @@ class Writer
 
     std::vector<std::uint8_t> buf_;
     bool hashOnly_ = false;
-    /** FNV-1a state of the bytes already folded out of buf_. */
-    std::uint64_t folded_ = fnvBasis;
+    /** Hash state of the bytes already folded out of buf_. */
+    Hasher folded_;
 };
 
 /** Bounds-checked little-endian decoder over a byte span. */

@@ -12,7 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -23,6 +23,7 @@
 #include "sim/presets.hh"
 #include "sim/profile.hh"
 #include "sim/sampling.hh"
+#include "snap/snap.hh"
 #include "workloads/workloads.hh"
 
 using namespace sst;
@@ -253,16 +254,26 @@ TEST(Profile, TruncatedMemberSkippedWithWarning)
     EXPECT_FALSE(capture.text().empty());
 }
 
-TEST(Profile, CorruptBytesSkippedWithWarning)
+namespace
 {
-    Workload w = wl("oltp_mix");
+
+/** Save an oltp_mix library, let @p damage rewrite the bytes of its
+ *  first selected member, load the library back and return the
+ *  warnings. Exactly that member must be skipped; the rest still
+ *  serve. */
+std::string
+loadWithDamagedMember(
+    const std::string &stem,
+    const std::function<void(std::vector<std::uint8_t> &)> &damage)
+{
+    static const Workload w = wl("oltp_mix");
     MachineConfig mc = makePreset("sst2");
     Config cfg;
     std::uint64_t hash = hashFor(mc, cfg);
-    ProfileLibrary lib =
+    static const ProfileLibrary lib =
         buildProfileLibrary(mc, w.program, params(), hash);
-    std::string dir = freshDir("corrupt");
-    ASSERT_TRUE(saveProfileLibrary(lib, dir).ok());
+    std::string dir = freshDir(stem);
+    EXPECT_TRUE(saveProfileLibrary(lib, dir).ok());
 
     std::string victim;
     for (const auto &r : lib.regions)
@@ -271,26 +282,87 @@ TEST(Profile, CorruptBytesSkippedWithWarning)
                 dir + "/region-" + std::to_string(r.index) + ".snap";
             break;
         }
-    ASSERT_FALSE(victim.empty());
-    {
-        // Flip one byte in the middle; the whole-file checksum must
-        // catch it before any deserialization is attempted.
-        std::fstream f(victim, std::ios::in | std::ios::out
-                                   | std::ios::binary);
-        f.seekp(static_cast<std::streamoff>(
-            std::filesystem::file_size(victim) / 2));
-        char c = 0;
-        f.read(&c, 1);
-        f.seekp(-1, std::ios::cur);
-        c = static_cast<char>(c ^ 0x5a);
-        f.write(&c, 1);
-    }
+    EXPECT_FALSE(victim.empty());
+    auto bytes = snap::readFile(victim);
+    EXPECT_TRUE(bytes.ok());
+    damage(bytes.value());
+    EXPECT_TRUE(snap::writeFile(victim, bytes.value()).ok());
 
     LogCapture capture;
     auto loaded = loadProfileLibrary(dir, mc, w.program, params(), hash);
-    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    EXPECT_EQ(loaded.value().usableCount(), lib.usableCount() - 1);
-    EXPECT_FALSE(capture.text().empty());
+    EXPECT_TRUE(loaded.ok()) << loaded.error().message;
+    if (loaded.ok()) {
+        EXPECT_EQ(loaded.value().usableCount(), lib.usableCount() - 1);
+    }
+    EXPECT_NE(capture.text().find(victim), std::string::npos)
+        << capture.text();
+    return capture.text();
+}
+
+/** XOR the byte at @p at (from the end if negative). */
+std::function<void(std::vector<std::uint8_t> &)>
+flipAt(std::ptrdiff_t at)
+{
+    return [at](std::vector<std::uint8_t> &bytes) {
+        std::ptrdiff_t size = static_cast<std::ptrdiff_t>(bytes.size());
+        bytes.at(static_cast<std::size_t>(at >= 0 ? at : size + at)) ^=
+            0x5a;
+    };
+}
+
+const std::string kChecksumMismatch = "checksum mismatch";
+
+} // namespace
+
+// A member is its body (every byte up to the trailing 8) plus an XXH64
+// checksum of the body. Wherever a byte flips, the checksum catches it
+// before any deserialization is attempted.
+
+TEST(Profile, CorruptBytesSkippedWithWarning)
+{
+    std::string log = loadWithDamagedMember(
+        "corrupt", [](std::vector<std::uint8_t> &bytes) {
+            bytes[bytes.size() / 2] ^= 0x5a;
+        });
+    EXPECT_NE(log.find(kChecksumMismatch), std::string::npos) << log;
+}
+
+TEST(Profile, CorruptFirstBodyByteSkipped)
+{
+    // Bytes 0-11 (magic, version) are read first by the file probe, so
+    // a flip there is reported as bad magic; byte 12 is the first that
+    // only the checksum guards.
+    std::string magic = loadWithDamagedMember("corrupt_magic", flipAt(0));
+    EXPECT_NE(magic.find("bad magic"), std::string::npos) << magic;
+    std::string log = loadWithDamagedMember("corrupt_first", flipAt(12));
+    EXPECT_NE(log.find(kChecksumMismatch), std::string::npos) << log;
+}
+
+TEST(Profile, CorruptLastBodyByteSkipped)
+{
+    std::string log = loadWithDamagedMember("corrupt_last", flipAt(-9));
+    EXPECT_NE(log.find(kChecksumMismatch), std::string::npos) << log;
+}
+
+TEST(Profile, CorruptChecksumSkipped)
+{
+    std::string log = loadWithDamagedMember("corrupt_sum", flipAt(-4));
+    EXPECT_NE(log.find(kChecksumMismatch), std::string::npos) << log;
+}
+
+/** A member written by a format-6 build (FNV-1a checksums) is turned
+ *  away by the version probe before its checksum is looked at. */
+TEST(Profile, OldFormatMemberSkippedByVersion)
+{
+    std::string log = loadWithDamagedMember(
+        "old_format", [](std::vector<std::uint8_t> &bytes) {
+            bytes.at(8) = 6; // u32 formatVersion, after the u64 magic
+            bytes.at(9) = bytes.at(10) = bytes.at(11) = 0;
+        });
+    EXPECT_NE(log.find("format version 6, this build reads "
+                       + std::to_string(snap::formatVersion)),
+              std::string::npos)
+        << log;
 }
 
 TEST(Profile, ConcurrentWritersLeaveOneValidEntry)

@@ -3,7 +3,7 @@
  * Unit tests for the snap serialization layer: the Writer/Reader
  * primitives (including the on-the-wire little-endian byte layout the
  * cross-machine hash depends on), the corruption discipline (tag
- * mismatches and truncation are fatal, never silent), the FNV hash,
+ * mismatches and truncation are fatal, never silent), the XXH64 hash,
  * the atomic file helpers, save/load round trips of the leaf
  * components (Rng, Distribution, StatGroup, TraceBuffer), and the
  * Archive's load-side checks on corrupt counts and indices.
@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -140,19 +141,63 @@ TEST(Snap, TrailingGarbageIsFatal)
     EXPECT_FALSE(res.ok());
 }
 
-TEST(Snap, HasherMatchesOneShotFnv)
+TEST(Snap, HasherMatchesOneShotHash)
 {
     const char payload[] = "simultaneous speculative threading";
     snap::Hasher h;
     h.mix(payload, 10);
     h.mix(payload + 10, sizeof(payload) - 10);
-    EXPECT_EQ(h.value(), snap::fnv1a(payload, sizeof(payload)));
+    EXPECT_EQ(h.value(), snap::hash64(payload, sizeof(payload)));
 
     // Writer::hash() is the same function over the serialized bytes.
     snap::Writer w;
     w.str("abc");
     w.u64(99);
-    EXPECT_EQ(w.hash(), snap::fnv1a(w.data().data(), w.size()));
+    EXPECT_EQ(w.hash(), snap::hash64(w.data().data(), w.size()));
+}
+
+/** XXH64 reference vectors at seed 0, so the hash is the published
+ *  function and not merely a self-consistent one. The last input is
+ *  39 bytes: one full stripe plus an 8-, a 4- and a 1-byte tail. */
+TEST(Snap, Xxh64KnownAnswers)
+{
+    auto xxh = [](const std::string &s) {
+        return snap::hash64(s.data(), s.size());
+    };
+    EXPECT_EQ(xxh(""), 0xef46db3751d8e999ULL);
+    EXPECT_EQ(xxh("a"), 0xd24ec4f1a98c6e5bULL);
+    EXPECT_EQ(xxh("abc"), 0x44bc2cf5ad770999ULL);
+    EXPECT_EQ(xxh("Nobody inspects the spammish repetition"),
+              0xfbcea83c8a378bf1ULL);
+}
+
+/** However a stream is cut, every hashing path gives hash64 of the
+ *  whole: a Hasher fed random 0–97-byte pieces, a hashing Writer, and
+ *  a buffered Writer's hash(). */
+TEST(Snap, HashIsChunkInvariant)
+{
+    std::vector<std::uint8_t> buf(1 << 20);
+    Rng fill(0xc0ffeeULL);
+    for (std::uint8_t &byte : buf)
+        byte = static_cast<std::uint8_t>(fill.next());
+    const std::uint64_t whole = snap::hash64(buf.data(), buf.size());
+
+    Rng split(17);
+    snap::Hasher h;
+    snap::Writer hashing = snap::Writer::hashing();
+    snap::Writer buffered;
+    for (std::size_t at = 0; at < buf.size();) {
+        std::size_t n = std::min<std::size_t>(split.below(98),
+                                              buf.size() - at);
+        h.mix(buf.data() + at, n);
+        hashing.bytes(buf.data() + at, n);
+        buffered.bytes(buf.data() + at, n);
+        at += n;
+    }
+    EXPECT_EQ(h.value(), whole);
+    EXPECT_EQ(hashing.hash(), whole);
+    EXPECT_EQ(buffered.hash(), whole);
+    EXPECT_EQ(buffered.size(), buf.size());
 }
 
 TEST(Snap, FileRoundTrip)
@@ -461,7 +506,7 @@ TEST(Snap, CountBeyondStreamIsFatal)
         << res.error().message;
 }
 
-/** A hashing Writer folds its bytes into the FNV at every bytes() call
+/** A hashing Writer folds its bytes into the hash at every bytes() call
  *  and keeps no stream; its hash() must equal a buffering Writer's over
  *  the same writes, however the writes interleave with bulk blocks. */
 TEST(Snap, HashingWriterMatchesBufferedHash)
@@ -489,6 +534,6 @@ TEST(Snap, HashingWriterMatchesBufferedHash)
     fill(hashing);
     EXPECT_EQ(hashing.hash(), buffered.hash());
     EXPECT_EQ(buffered.hash(),
-              snap::fnv1a(buffered.data().data(), buffered.size()));
+              snap::hash64(buffered.data().data(), buffered.size()));
     EXPECT_LT(hashing.size(), 2'000u); // only bytes since the last fold
 }

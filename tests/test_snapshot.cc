@@ -120,33 +120,33 @@ TEST(Snapshot, SnapshotIsNonDestructive)
 namespace
 {
 
-/** FNV-1a of the state payload inside a snapshot() image: the bytes
+/** hash64 of the state payload inside a snapshot() image: the bytes
  *  from the "cmp-state" tag up to the trailing (untraced) "trace" tag
  *  and its flag. This is what stateHash() hashes without buffering. */
 std::uint64_t
-payloadFnv(const std::vector<std::uint8_t> &image)
+payloadHash(const std::vector<std::uint8_t> &image)
 {
     const std::string tag = std::string("\x09\0\0\0", 4) + "cmp-state";
     auto begin = std::search(image.begin(), image.end(), tag.begin(),
                              tag.end());
     EXPECT_NE(begin, image.end());
     const std::size_t trailer = 4 + 5 + 1; // tag("trace"), b(false)
-    return snap::fnv1a(&*begin,
-                       static_cast<std::size_t>(image.end() - begin)
-                           - trailer);
+    return snap::hash64(&*begin,
+                        static_cast<std::size_t>(image.end() - begin)
+                            - trailer);
 }
 
 } // namespace
 
 /** stateHash() streams the walk through a hashing Writer instead of a
- *  multi-MB buffer; it must equal the buffered FNV of the same bytes,
+ *  multi-MB buffer; it must equal the one-shot hash of the same bytes,
  *  on a one-core sst2 machine and on a coherent rock16 chip. */
-TEST(Snapshot, StateHashEqualsBufferedFnv)
+TEST(Snapshot, StateHashEqualsPayloadHash)
 {
     Program program = workloadProgram("hash_join");
     Machine m(makePreset("sst2"), program);
     m.stepTo(20'000);
-    EXPECT_EQ(m.stateHash(), payloadFnv(m.snapshot()));
+    EXPECT_EQ(m.stateHash(), payloadHash(m.snapshot()));
 
     WorkloadParams wp;
     wp.lengthScale = 0.05;
@@ -158,7 +158,7 @@ TEST(Snapshot, StateHashEqualsBufferedFnv)
         programs.push_back(&x.program);
     Cmp chip(mc, programs);
     chip.stepTo(5'000);
-    EXPECT_EQ(chip.stateHash(), payloadFnv(chip.snapshot()));
+    EXPECT_EQ(chip.stateHash(), payloadHash(chip.snapshot()));
 }
 
 /** Equal state ⇒ equal hash; advancing the machine changes the hash. */
